@@ -15,20 +15,19 @@
 // decoder fails with probability at most δ after k + O(√k·ln²(k/δ))
 // packets. Tunables c and δ trade average degree against ripple robustness.
 //
-// Decoding is belief-propagation peeling with lazy XOR release (see
-// decoder.go), backed by an inactivation-style GF(2) elimination fallback
-// so reception overhead stays near the rank bound instead of stalling on an
+// The per-index draws, the encoder and the decoder are internal/rateless's
+// engine with no precode and no systematic prefix: belief-propagation
+// peeling with lazy XOR release, backed by a GF(2) elimination endgame so
+// reception overhead stays near the rank bound instead of stalling on an
 // empty ripple.
 package lt
 
 import (
-	"errors"
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/code"
-	"repro/internal/gf"
+	"repro/internal/rateless"
 )
 
 // Default degree-distribution parameters: a moderate spike (c) and failure
@@ -43,12 +42,9 @@ const (
 // after construction and safe for concurrent use; the degree CDF is built
 // once and shared by every encoder and decoder of the session.
 type Codec struct {
-	k         int
-	packetLen int
-	seed      int64
-	c         float64
-	delta     float64
-	cdf       []float64 // cdf[d-1] = P(degree <= d), d = 1..k
+	*rateless.Code
+	c     float64
+	delta float64
 }
 
 // New constructs the codec for k source packets of packetLen bytes. The
@@ -68,9 +64,8 @@ func New(k, packetLen int, seed int64, c, delta float64) (*Codec, error) {
 	if delta <= 0 || delta >= 1 {
 		delta = DefaultDelta
 	}
-	lc := &Codec{k: k, packetLen: packetLen, seed: seed, c: c, delta: delta}
-	lc.cdf = robustSolitonCDF(k, c, delta)
-	return lc, nil
+	cdf := robustSolitonCDF(k, c, delta)
+	return &Codec{Code: rateless.New(k, 0, packetLen, seed, cdf, nil), c: c, delta: delta}, nil
 }
 
 // robustSolitonCDF builds the cumulative robust soliton distribution
@@ -117,147 +112,14 @@ func robustSolitonCDF(k int, c, delta float64) []float64 {
 // Name implements code.Codec.
 func (c *Codec) Name() string { return "lt" }
 
-// K implements code.Codec.
-func (c *Codec) K() int { return c.k }
-
-// N implements code.Codec: the encoding is unbounded; every index below
-// the code.UnboundedN sentinel is a valid encoding packet.
-func (c *Codec) N() int { return code.UnboundedN }
-
-// PacketLen implements code.Codec.
-func (c *Codec) PacketLen() int { return c.packetLen }
-
 // Params returns the degree-distribution tunables (c, δ) in effect.
 func (c *Codec) Params() (cc, delta float64) { return c.c, c.delta }
-
-// Seed returns the session seed the packet streams derive from.
-func (c *Codec) Seed() int64 { return c.seed }
-
-// RatelessCode implements code.Rateless.
-func (c *Codec) RatelessCode() {}
-
-// ErrUnbounded is returned by Encode: a rateless code has no finite "full
-// encoding" to materialize.
-var ErrUnbounded = errors.New("lt: rateless codec has no finite encoding; use EncodeRange")
-
-// Encode implements code.Codec by failing: callers must use EncodeRange
-// (core sessions detect the Rateless capability and never call Encode).
-func (c *Codec) Encode(src [][]byte) ([][]byte, error) { return nil, ErrUnbounded }
-
-// prng is a splitmix64 stream. Packet index i's stream is seeded by mixing
-// the session seed with i, so every encoding packet is an independent,
-// reproducible draw — the property that lets unstaggered mirrors emit
-// disjoint useful packets with no coordination beyond distinct indices.
-type prng struct{ state uint64 }
-
-func (p *prng) next() uint64 {
-	p.state += 0x9E3779B97F4A7C15
-	z := p.state
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
-}
-
-// float64 in [0, 1).
-func (p *prng) uniform() float64 { return float64(p.next()>>11) / (1 << 53) }
-
-// stream returns packet index i's PRNG, decorrelated from neighboring
-// indices by one full mix round over (seed, index).
-func (c *Codec) stream(index uint32) prng {
-	p := prng{state: uint64(c.seed) ^ (uint64(index)+1)*0xBF58476D1CE4E5B9}
-	p.state = p.next()
-	return p
-}
-
-// degree samples the robust soliton distribution with the stream's next
-// draw: binary search for the first CDF entry covering u.
-func (c *Codec) degree(p *prng) int {
-	u := p.uniform()
-	return sort.SearchFloat64s(c.cdf, u) + 1
-}
-
-// Degree returns encoding packet index's degree — deterministic, in
-// [1, k].
-func (c *Codec) Degree(index uint32) int {
-	p := c.stream(index)
-	d := c.degree(&p)
-	if d > c.k {
-		d = c.k // unreachable (cdf tail is pinned); belt and braces
-	}
-	return d
-}
-
-// NeighborsInto writes encoding packet index's neighbor set — the source
-// packets XORed into it — into buf (reused if capacity allows) and returns
-// it. The set is deterministic in (seed, index, k), duplicate-free, and
-// every entry is in [0, k).
-func (c *Codec) NeighborsInto(index uint32, buf []int) []int {
-	p := c.stream(index)
-	d := c.degree(&p)
-	buf = buf[:0]
-	if d >= c.k {
-		// Full-degree packet: enumerate rather than reject (coupon-collector
-		// rejection at d = k would cost k·ln k draws).
-		for i := 0; i < c.k; i++ {
-			buf = append(buf, i)
-		}
-		return buf
-	}
-	// Rejection sampling keeps the draw sequence identical regardless of
-	// how duplicates are detected: a linear scan for the common degrees
-	// (including the robust-soliton spike, which would otherwise allocate
-	// a map on a meaningful fraction of packets), a set once quadratic
-	// scanning would genuinely bite.
-	var dup map[int]struct{}
-	if d > 256 {
-		dup = make(map[int]struct{}, d)
-	}
-	for len(buf) < d {
-		cand := int(p.next() % uint64(c.k))
-		if dup != nil {
-			if _, seen := dup[cand]; seen {
-				continue
-			}
-			dup[cand] = struct{}{}
-		} else {
-			seen := false
-			for _, b := range buf {
-				if b == cand {
-					seen = true
-					break
-				}
-			}
-			if seen {
-				continue
-			}
-		}
-		buf = append(buf, cand)
-	}
-	return buf
-}
 
 // EncodeRange implements code.RangeEncoder: encoding packets [lo, hi), each
 // freshly allocated (an LT code is not systematic — every output is a coded
 // combination, so nothing aliases src).
 func (c *Codec) EncodeRange(src [][]byte, lo, hi int) ([][]byte, error) {
-	if err := code.CheckSrc(src, c.k, c.packetLen); err != nil {
-		return nil, err
-	}
-	if lo < 0 || hi < lo || hi > code.UnboundedN {
-		return nil, fmt.Errorf("lt: encode range [%d,%d) out of [0,%d)", lo, hi, code.UnboundedN)
-	}
-	out := make([][]byte, hi-lo)
-	store := make([]byte, (hi-lo)*c.packetLen)
-	var nbuf []int
-	for i := lo; i < hi; i++ {
-		p := store[(i-lo)*c.packetLen : (i-lo+1)*c.packetLen]
-		nbuf = c.NeighborsInto(uint32(i), nbuf)
-		for _, nb := range nbuf {
-			gf.XORSlice(p, src[nb])
-		}
-		out[i-lo] = p
-	}
-	return out, nil
+	return c.Code.EncodeRange(src, lo, hi, nil)
 }
 
 // Interface conformance.

@@ -19,9 +19,9 @@ func randomSrc(t testing.TB, rng *rand.Rand, k, pl int) [][]byte {
 }
 
 // decodeStream feeds consecutive indices from base, dropping each packet
-// with probability loss, until the decoder completes. It returns the number
-// of distinct packets the decoder accepted.
-func decodeStream(t *testing.T, c *Codec, src [][]byte, base uint32, loss float64, rng *rand.Rand) int {
+// with probability loss, until the decoder completes. It returns the
+// completed decoder.
+func decodeStream(t *testing.T, c *Codec, src [][]byte, base uint32, loss float64, rng *rand.Rand) code.Decoder {
 	t.Helper()
 	d := c.NewDecoder()
 	budget := 8*c.K() + 1024
@@ -48,11 +48,11 @@ func decodeStream(t *testing.T, c *Codec, src [][]byte, base uint32, loss float6
 					t.Fatalf("symbol %d mismatch", s)
 				}
 			}
-			return d.Received()
+			return d
 		}
 	}
 	t.Fatalf("decoder not done after %d offered packets (received %d, k=%d)", budget, d.Received(), c.K())
-	return 0
+	return nil
 }
 
 func TestRoundTrip(t *testing.T) {
@@ -63,7 +63,7 @@ func TestRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		src := randomSrc(t, rng, k, 64)
-		recv := decodeStream(t, c, src, 0, 0, rng)
+		recv := decodeStream(t, c, src, 0, 0, rng).Received()
 		t.Logf("k=%4d received=%d overhead=%.3f", k, recv, float64(recv)/float64(k))
 	}
 }
@@ -77,8 +77,13 @@ func TestRoundTripWithLossAndOffset(t *testing.T) {
 	src := randomSrc(t, rng, 200, 32)
 	// Stream from a large index base (as a long-running mirror would) with
 	// 20% loss: completion must not depend on low indices or density.
-	recv := decodeStream(t, c, src, 3<<29, 0.20, rng)
+	d := decodeStream(t, c, src, 3<<29, 0.20, rng)
+	recv := d.Received()
 	t.Logf("received=%d overhead=%.3f", recv, float64(recv)/200)
+	// A non-systematic decode exposes symbols by releasing coded packets.
+	if rel := d.(code.ReleaseCounter).Released(); rel <= 0 {
+		t.Fatalf("Released() = %d after a coded decode, want > 0", rel)
+	}
 }
 
 // TestReceptionOverhead is the codec-level half of the ISSUE acceptance
@@ -99,7 +104,7 @@ func TestReceptionOverhead(t *testing.T) {
 	total := 0
 	for trial := 0; trial < trials; trial++ {
 		loss := 0.10 + 0.05*float64(trial)
-		recv := decodeStream(t, c, src, uint32(trial)<<24, loss, rng)
+		recv := decodeStream(t, c, src, uint32(trial)<<24, loss, rng).Received()
 		total += recv
 		t.Logf("trial %d (loss %.2f): received=%d overhead=%.4f", trial, loss, recv, float64(recv)/k)
 	}

@@ -12,7 +12,7 @@
 // intermediates uncovered; the precode's check equations — known to both
 // sides by construction, never transmitted — supply exactly the extra
 // relations the peeling decoder needs to clean up that residue, which is
-// why the O(k·√k) inactivation fallback drops out of the hot path.
+// why the elimination endgame drops out of the hot path.
 //
 // The code is systematic (SNIPPETS.md snippet 2's systematic=True idiom):
 // encoding packet i < k IS source packet i, and repair packets i >= k are
@@ -20,17 +20,20 @@
 // therefore reconstructs the file with zero XOR work — the paper's ideal
 // "packets straight off the wire" path — while lossy receivers decode
 // from any ≈1.02k distinct packets.
+//
+// The per-index draws, the encoder loop and the decoder are
+// internal/rateless's engine; this package supplies the truncated soliton,
+// the precode check equations and the intermediate-symbol cache.
 package raptor
 
 import (
-	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 
 	"repro/internal/code"
 	"repro/internal/gf"
+	"repro/internal/rateless"
 	"repro/internal/tornado"
 )
 
@@ -87,32 +90,21 @@ func DefaultChecks(k, maxD int) int {
 	return s
 }
 
-// Codec is the precoded rateless code over fixed-size packets. Immutable
-// after construction and safe for concurrent use; the precode graph and
-// degree CDF are built once and shared by every encoder and decoder of
-// the session.
+// Codec is the precoded rateless code over fixed-size packets: the
+// rateless engine over L = k+s intermediates with the precode checks as
+// static equations and a systematic prefix of k. Immutable after
+// construction (bar the encoder's cache) and safe for concurrent use; the
+// precode graph and degree CDF are built once and shared by every encoder
+// and decoder of the session.
 type Codec struct {
-	k         int
-	packetLen int
-	seed      int64
-	c         float64
-	delta     float64
-	s         int // precode checks
-	maxD      int // inner-code degree truncation
-	l         int // k + s intermediate symbols
-
-	cdf []float64 // truncated robust soliton over [1, maxD]
+	*rateless.Code
+	c     float64
+	delta float64
+	maxD  int // inner-code degree truncation
 
 	// checkSrc[j] lists the source symbols XORed into check intermediate
 	// k+j: the static equation 0 = value(k+j) ⊕ ⊕_{i∈checkSrc[j]} value(i).
 	checkSrc [][]int32
-	// staticOf[v] lists the static equations covering intermediate v —
-	// the reverse adjacency decoders walk when v resolves. For a check
-	// intermediate k+j this is exactly {j} (each check owns one equation).
-	staticOf [][]int32
-	// staticDeg[j] is static equation j's initial unknown count:
-	// len(checkSrc[j]) + 1 (its sources plus its own check symbol).
-	staticDeg []int32
 
 	// One-slot intermediate-symbol cache: core.Session emits the carousel
 	// one EncodeRange(i, i+1) call at a time, so the precode expansion of
@@ -161,24 +153,14 @@ func New(k, packetLen int, seed int64, c, delta float64, checks, maxD int) (*Cod
 	if maxD > l {
 		maxD = l
 	}
-	rc := &Codec{
-		k: k, packetLen: packetLen, seed: seed,
-		c: c, delta: delta, s: checks, maxD: maxD, l: l,
-	}
-	rc.cdf = truncatedSolitonCDF(l, maxD, c, delta)
 	// A distinct stream for the graph so precode wiring is decorrelated
 	// from the inner-code neighbor draws sharing the session seed.
-	rc.checkSrc = tornado.PrecodeGraph(k, checks, precodeMaxDegree, seed^0x5DEECE66D1CE4E5B)
-	rc.staticOf = make([][]int32, l)
-	rc.staticDeg = make([]int32, checks)
-	for j, srcs := range rc.checkSrc {
-		rc.staticDeg[j] = int32(len(srcs)) + 1
-		for _, s := range srcs {
-			rc.staticOf[s] = append(rc.staticOf[s], int32(j))
-		}
-		rc.staticOf[k+j] = []int32{int32(j)}
-	}
-	return rc, nil
+	checkSrc := tornado.PrecodeGraph(k, checks, precodeMaxDegree, seed^0x5DEECE66D1CE4E5B)
+	cdf := truncatedSolitonCDF(l, maxD, c, delta)
+	return &Codec{
+		Code: rateless.New(k, k, packetLen, seed, cdf, checkSrc),
+		c:    c, delta: delta, maxD: maxD, checkSrc: checkSrc,
+	}, nil
 }
 
 // truncatedSolitonCDF is the weakened inner distribution, the Raptor
@@ -231,124 +213,17 @@ func truncatedSolitonCDF(l, maxD int, c, delta float64) []float64 {
 // Name implements code.Codec.
 func (c *Codec) Name() string { return "raptor" }
 
-// K implements code.Codec.
-func (c *Codec) K() int { return c.k }
-
-// N implements code.Codec: the encoding is unbounded.
-func (c *Codec) N() int { return code.UnboundedN }
-
-// PacketLen implements code.Codec.
-func (c *Codec) PacketLen() int { return c.packetLen }
-
 // Params returns the inner degree-distribution tunables (c, δ) in effect.
 func (c *Codec) Params() (cc, delta float64) { return c.c, c.delta }
 
 // Checks returns the precode check count s.
-func (c *Codec) Checks() int { return c.s }
+func (c *Codec) Checks() int { return len(c.checkSrc) }
 
 // MaxDegree returns the inner-code degree truncation point.
 func (c *Codec) MaxDegree() int { return c.maxD }
 
 // Intermediates returns L = k + s, the inner code's symbol space.
-func (c *Codec) Intermediates() int { return c.l }
-
-// Seed returns the session seed the packet streams derive from.
-func (c *Codec) Seed() int64 { return c.seed }
-
-// RatelessCode implements code.Rateless.
-func (c *Codec) RatelessCode() {}
-
-// ErrUnbounded is returned by Encode: a rateless code has no finite "full
-// encoding" to materialize.
-var ErrUnbounded = errors.New("raptor: rateless codec has no finite encoding; use EncodeRange")
-
-// Encode implements code.Codec by failing: callers must use EncodeRange.
-func (c *Codec) Encode(src [][]byte) ([][]byte, error) { return nil, ErrUnbounded }
-
-// prng is the same splitmix64 construction the LT codec uses; repair
-// packet index i's draws are a pure function of (seed, i).
-type prng struct{ state uint64 }
-
-func (p *prng) next() uint64 {
-	p.state += 0x9E3779B97F4A7C15
-	z := p.state
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
-}
-
-func (p *prng) uniform() float64 { return float64(p.next()>>11) / (1 << 53) }
-
-func (c *Codec) stream(index uint32) prng {
-	p := prng{state: uint64(c.seed) ^ (uint64(index)+1)*0xBF58476D1CE4E5B9}
-	p.state = p.next()
-	return p
-}
-
-// Degree returns encoding packet index's inner degree — deterministic,
-// in [1, maxD]; systematic indices report 1.
-func (c *Codec) Degree(index uint32) int {
-	if int64(index) < int64(c.k) {
-		return 1
-	}
-	p := c.stream(index)
-	return c.degree(&p)
-}
-
-func (c *Codec) degree(p *prng) int {
-	u := p.uniform()
-	return sort.SearchFloat64s(c.cdf, u) + 1
-}
-
-// NeighborsInto writes encoding packet index's neighbor set over the
-// intermediate symbol space [0, L) into buf (reused if capacity allows)
-// and returns it. Systematic indices (index < k) are degree-1: the packet
-// is intermediate `index` itself. Repair indices draw a truncated-soliton
-// degree and rejection-sample that many distinct intermediates, exactly
-// the LT idiom so the draw sequence is auditable against lt.Codec.
-func (c *Codec) NeighborsInto(index uint32, buf []int) []int {
-	buf = buf[:0]
-	if int64(index) < int64(c.k) {
-		return append(buf, int(index))
-	}
-	p := c.stream(index)
-	d := c.degree(&p)
-	if d >= c.l {
-		for i := 0; i < c.l; i++ {
-			buf = append(buf, i)
-		}
-		return buf
-	}
-	// Rejection sampling, the LT idiom: linear dup scan for the common
-	// degrees (including the truncation spike, keeping the intake path
-	// allocation-free), a set for rare draws beyond it.
-	var dup map[int]struct{}
-	if d > 256 {
-		dup = make(map[int]struct{}, d)
-	}
-	for len(buf) < d {
-		cand := int(p.next() % uint64(c.l))
-		if dup != nil {
-			if _, seen := dup[cand]; seen {
-				continue
-			}
-			dup[cand] = struct{}{}
-		} else {
-			seen := false
-			for _, b := range buf {
-				if b == cand {
-					seen = true
-					break
-				}
-			}
-			if seen {
-				continue
-			}
-		}
-		buf = append(buf, cand)
-	}
-	return buf
-}
+func (c *Codec) Intermediates() int { return c.K() + c.Checks() }
 
 // intermediates returns the precode expansion of src: L symbols whose
 // first k alias src and whose last s are the check XORs. Cached per
@@ -360,15 +235,16 @@ func (c *Codec) intermediates(src [][]byte) [][]byte {
 	if c.encKey == key {
 		return c.inter
 	}
-	inter := make([][]byte, c.l)
+	inter := make([][]byte, c.Intermediates())
 	copy(inter, src)
-	store := make([]byte, c.s*c.packetLen)
+	pl := c.PacketLen()
+	store := make([]byte, c.Checks()*pl)
 	for j, srcs := range c.checkSrc {
-		p := store[j*c.packetLen : (j+1)*c.packetLen]
+		p := store[j*pl : (j+1)*pl]
 		for _, s := range srcs {
 			gf.XORSlice(p, src[s])
 		}
-		inter[c.k+j] = p
+		inter[c.K()+j] = p
 	}
 	c.encKey = key
 	c.inter = inter
@@ -380,41 +256,7 @@ func (c *Codec) intermediates(src [][]byte) [][]byte {
 // the sender too); repair entries are freshly allocated inner-code XORs
 // over the cached intermediates.
 func (c *Codec) EncodeRange(src [][]byte, lo, hi int) ([][]byte, error) {
-	if err := code.CheckSrc(src, c.k, c.packetLen); err != nil {
-		return nil, err
-	}
-	if lo < 0 || hi < lo || hi > code.UnboundedN {
-		return nil, fmt.Errorf("raptor: encode range [%d,%d) out of [0,%d)", lo, hi, code.UnboundedN)
-	}
-	out := make([][]byte, hi-lo)
-	repairs := 0
-	for i := lo; i < hi; i++ {
-		if i >= c.k {
-			repairs++
-		}
-	}
-	var store []byte
-	var inter [][]byte
-	if repairs > 0 {
-		store = make([]byte, repairs*c.packetLen)
-		inter = c.intermediates(src)
-	}
-	var nbuf []int
-	r := 0
-	for i := lo; i < hi; i++ {
-		if i < c.k {
-			out[i-lo] = src[i]
-			continue
-		}
-		p := store[r*c.packetLen : (r+1)*c.packetLen]
-		r++
-		nbuf = c.NeighborsInto(uint32(i), nbuf)
-		for _, nb := range nbuf {
-			gf.XORSlice(p, inter[nb])
-		}
-		out[i-lo] = p
-	}
-	return out, nil
+	return c.Code.EncodeRange(src, lo, hi, c.intermediates)
 }
 
 // Interface conformance.

@@ -6,7 +6,11 @@ import (
 	"testing"
 
 	"repro/internal/code"
+	"repro/internal/rateless"
 )
+
+// decoder names the engine's decoder type for white-box assertions.
+type decoder = rateless.Decoder
 
 func testSrc(t testing.TB, k, packetLen int, seed int64) [][]byte {
 	t.Helper()
@@ -230,7 +234,8 @@ func TestNeighborsDeterministicAndValid(t *testing.T) {
 }
 
 // The precode graph invariants: every check lists in-range, duplicate-free
-// sources, and the static reverse adjacency is consistent.
+// sources. (The engine's static tables built from them are checked in
+// internal/rateless.)
 func TestPrecodeConsistency(t *testing.T) {
 	for _, k := range []int{1, 2, 10, 1000} {
 		c := mustNew(t, k, 8, int64(k))
@@ -247,9 +252,6 @@ func TestPrecodeConsistency(t *testing.T) {
 					t.Fatalf("k=%d check %d: duplicate source %d", k, j, s)
 				}
 				seen[s] = true
-			}
-			if int(c.staticDeg[j]) != len(srcs)+1 {
-				t.Fatalf("k=%d check %d: staticDeg %d != %d", k, j, c.staticDeg[j], len(srcs)+1)
 			}
 		}
 	}

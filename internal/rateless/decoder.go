@@ -1,18 +1,20 @@
-// Raptor decoding: joint belief-propagation peeling over the L = k+s
-// intermediate symbols, where the equation set is the union of
+// Decoding: joint belief-propagation peeling over the L intermediate
+// symbols, where the equation set is the union of
 //
-//   - the s *static* precode equations 0 = value(k+j) ⊕ ⊕ sources(j),
-//     known to the decoder by construction and present from packet zero
-//     (their "payload" is the implicit all-zero packet — never allocated,
-//     never transmitted), and
+//   - the *static* precode equations 0 = value(k+j) ⊕ ⊕ checks(j), known
+//     to the decoder by construction and present from packet zero (their
+//     "payload" is the implicit all-zero packet — never allocated, never
+//     transmitted), and
 //   - the received coded packets (systematic packets resolve their
-//     intermediate directly; repair packets are inner-code equations).
+//     intermediate directly; the others are inner-code equations).
 //
-// Static equations are free rank: a receiver needs only ≈k received
-// symbols regardless of s, because the s check symbols come with their
-// own defining equations. They are also why the weakened (truncated)
-// inner distribution decodes at all — the residue it strands is exactly
-// what the precode peels.
+// An LT code has no static equations and no systematic prefix, so for it
+// the decoder is plain peeling with lazy XOR release plus the endgame.
+// For raptor the static equations are free rank: a receiver needs only ≈k
+// received symbols regardless of s, because the s check symbols come with
+// their own defining equations. They are also why the weakened
+// (truncated) inner distribution decodes at all — the residue it strands
+// is exactly what the precode peels.
 //
 // Two mechanisms keep the hot path linear and the lossless path free:
 //
@@ -29,8 +31,8 @@
 // those check symbols some live received equation references — a check
 // symbol appearing solely in its own static equation is a free variable,
 // so that row and column drop together. The rank-deficit gate (needMore)
-// bounds attempts, exactly as in the LT and Tornado decoders.
-package raptor
+// bounds attempts, as in the Tornado decoder.
+package rateless
 
 import (
 	"fmt"
@@ -41,7 +43,7 @@ import (
 )
 
 // eq is one decoding equation. Ids [0, s) are the static precode
-// equations (data == nil: the implicit zero payload); received repair
+// equations (data == nil: the implicit zero payload); received coded
 // packets append after. data holds the raw payload as received; resolved
 // neighbors are XORed out lazily at release time.
 type eq struct {
@@ -50,8 +52,10 @@ type eq struct {
 	remaining int32  // unresolved neighbors; 0 = retired
 }
 
-type decoder struct {
-	c *Codec
+// Decoder is the engine's code.Decoder; NewDecoder returns one per
+// receiver.
+type Decoder struct {
+	c *Code
 
 	values   [][]byte // per intermediate symbol; nil while unresolved
 	srcLeft  int      // unresolved source symbols (done when 0)
@@ -74,8 +78,9 @@ type decoder struct {
 	nbuf []int
 	done bool
 
-	// Slab arena + free list for payload buffers: the allocation-shape
-	// fix the LT decoder gets in this PR, here from day one.
+	// Slab arena + free list for payload buffers: the steady-state intake
+	// path allocates O(1) slabs per 16 packets instead of one buffer per
+	// packet.
 	slab []byte
 	free [][]byte
 }
@@ -90,32 +95,33 @@ type wnode struct {
 // NewDecoder implements code.Codec. The static equations are live
 // immediately; a zero-source check (possible on tiny precodes) starts
 // releasable and is parked on first drain.
-func (c *Codec) NewDecoder() code.Decoder {
-	d := &decoder{
+func (c *Code) NewDecoder() code.Decoder {
+	s := len(c.checks)
+	d := &Decoder{
 		c:      c,
 		values: make([][]byte, c.l),
 		whead:  make([]int32, c.l),
 		wnodes: make([]wnode, 0, 2*c.k),
-		eqs:    make([]eq, c.s, c.s+c.k/2+16),
-		parked: make([]int32, c.s),
+		eqs:    make([]eq, s, s+c.k/2+16),
+		parked: make([]int32, s),
 		seen:   make(map[uint32]struct{}, c.k+c.k/8),
 	}
 	for v := range d.whead {
 		d.whead[v] = -1
 	}
-	for j := 0; j < c.s; j++ {
+	for j := 0; j < s; j++ {
 		d.eqs[j].remaining = c.staticDeg[j]
 		if d.eqs[j].remaining == 1 {
 			d.relq = append(d.relq, int32(j))
 		}
 	}
-	d.active = c.s
+	d.active = s
 	d.srcLeft = c.k
 	return d
 }
 
 // Add implements code.Decoder.
-func (d *decoder) Add(i int, data []byte) (bool, error) {
+func (d *Decoder) Add(i int, data []byte) (bool, error) {
 	if err := code.CheckPacket(i, data, code.UnboundedN, d.c.packetLen); err != nil {
 		return d.done, err
 	}
@@ -129,7 +135,7 @@ func (d *decoder) Add(i int, data []byte) (bool, error) {
 	d.seen[index] = struct{}{}
 	resBefore := d.resolved
 	contributed := false
-	if i < d.c.k {
+	if i < d.c.sys {
 		// Systematic packet: the payload IS intermediate i. No XOR, no
 		// equation bookkeeping beyond the resolve ripple.
 		if d.values[i] == nil {
@@ -194,9 +200,9 @@ func (d *decoder) Add(i int, data []byte) (bool, error) {
 	// Pay down the elimination rank-deficit gate by actual progress: a
 	// contributing equation adds prospective rank, and every symbol
 	// resolved since the packet arrived removes a column from the residual
-	// system. Counting contributions alone (the LT rule, where packets
-	// never resolve symbols directly) would lock the endgame out for the
-	// whole systematic prefix of a lossy stream.
+	// system. Counting contributions alone would lock the endgame out for
+	// the whole systematic prefix of a lossy stream, where packets resolve
+	// symbols directly.
 	if d.needMore > 0 {
 		progress := d.resolved - resBefore
 		if contributed {
@@ -220,7 +226,7 @@ func (d *decoder) Add(i int, data []byte) (bool, error) {
 // resolve records intermediate s's value and decrements every live
 // equation covering it: the static equations via the codec's reverse
 // adjacency, the buffered received equations via the waiter lists.
-func (d *decoder) resolve(s int, val []byte) {
+func (d *Decoder) resolve(s int, val []byte) {
 	d.values[s] = val
 	d.resolved++
 	if s < d.c.k {
@@ -234,15 +240,17 @@ func (d *decoder) resolve(s int, val []byte) {
 		// remaining hits 0 in the decrement loops below.
 		d.parked[s-d.c.k] = 0
 	}
-	for _, j := range d.c.staticOf[s] {
-		e := &d.eqs[j]
-		if e.remaining > 0 {
-			e.remaining--
-			switch e.remaining {
-			case 1:
-				d.relq = append(d.relq, j)
-			case 0:
-				d.active--
+	if d.c.staticOf != nil {
+		for _, j := range d.c.staticOf[s] {
+			e := &d.eqs[j]
+			if e.remaining > 0 {
+				e.remaining--
+				switch e.remaining {
+				case 1:
+					d.relq = append(d.relq, j)
+				case 0:
+					d.active--
+				}
 			}
 		}
 	}
@@ -271,7 +279,7 @@ func (d *decoder) resolve(s int, val []byte) {
 // check only while it still has another unknown to peel (remaining > 1);
 // a waiter likewise contributes nothing if the check is its sole unknown
 // too (releasing either one retires both with no symbol gained).
-func (d *decoder) needed(id int32, target int) bool {
+func (d *Decoder) needed(id int32, target int) bool {
 	j := int32(target - d.c.k)
 	if j != id && d.eqs[j].remaining > 1 {
 		return true
@@ -289,7 +297,7 @@ func (d *decoder) needed(id int32, target int) bool {
 // equations whose last unknown is an unwanted check symbol are parked
 // instead (see the package comment — this is the zero-loss zero-XOR
 // path).
-func (d *decoder) drainRipple() {
+func (d *Decoder) drainRipple() {
 	for len(d.relq) > 0 && !d.done {
 		id := d.relq[len(d.relq)-1]
 		d.relq = d.relq[:len(d.relq)-1]
@@ -297,14 +305,14 @@ func (d *decoder) drainRipple() {
 		if e.remaining != 1 {
 			continue // raced to 0: became redundant while queued
 		}
-		static := id < int32(d.c.s)
+		static := id < int32(len(d.c.checks))
 		target := -1
 		if static {
 			j := int(id)
 			if d.values[d.c.k+j] == nil {
 				target = d.c.k + j
 			} else {
-				for _, nb := range d.c.checkSrc[j] {
+				for _, nb := range d.c.checks[j] {
 					if d.values[nb] == nil {
 						target = int(nb)
 						break
@@ -345,7 +353,7 @@ func (d *decoder) drainRipple() {
 		}
 		if static {
 			j := int(id)
-			for _, nb := range d.c.checkSrc[j] {
+			for _, nb := range d.c.checks[j] {
 				if v := d.values[nb]; v != nil {
 					gf.XORSlice(val, v)
 					d.xors++
@@ -370,12 +378,12 @@ func (d *decoder) drainRipple() {
 	}
 }
 
-// elimMax bounds the residual system the endgame will solve, as in the
-// LT decoder: elimination is cubic, so peeling must shrink the residue
-// first. With the precode cleaning the truncated inner code's residue,
-// the endgame system here is typically a few dozen columns — the
-// fallback that dominated LT decode time becomes a footnote.
-func (d *decoder) elimMax() int {
+// elimMax bounds the residual system the endgame will solve: elimination
+// is cubic, so peeling must shrink the residue below ~k/8 first. Without
+// a precode (LT) the endgame finishes the tail the ripple would stall on;
+// with one (raptor), cleaning the truncated inner code's residue, the
+// system is typically a few dozen columns.
+func (d *Decoder) elimMax() int {
 	if m := d.c.k / 8; m > 768 {
 		return m
 	}
@@ -389,7 +397,7 @@ func (d *decoder) elimMax() int {
 // symbol appearing only in its own static equation is a free variable —
 // that row and column leave the system together, which keeps the matrix
 // near the true information deficit instead of O(s) wide.
-func (d *decoder) tryEliminate(stalled bool) {
+func (d *Decoder) tryEliminate(stalled bool) {
 	if d.done || d.needMore > 0 || d.srcLeft == 0 {
 		return
 	}
@@ -410,7 +418,7 @@ func (d *decoder) tryEliminate(stalled bool) {
 		// overshoot, locking elimination out past the prefix.
 		return
 	}
-	k, s := d.c.k, d.c.s
+	k, s := d.c.k, len(d.c.checks)
 	colOf := make(map[int]int, 2*d.srcLeft)
 	syms := make([]int, 0, 2*d.srcLeft)
 	addCol := func(v int) {
@@ -493,7 +501,7 @@ func (d *decoder) tryEliminate(stalled bool) {
 		}
 		j := int(jd)
 		buf := store[r*d.c.packetLen : (r+1)*d.c.packetLen] // implicit zero payload
-		for _, nb := range d.c.checkSrc[j] {
+		for _, nb := range d.c.checks[j] {
 			if v := d.values[nb]; v != nil {
 				gf.XORSlice(buf, v)
 			} else {
@@ -539,7 +547,7 @@ func deficitWait(deficit int) int {
 
 // finish drops the equation state; values (some arena-backed) survive
 // for Source.
-func (d *decoder) finish() {
+func (d *Decoder) finish() {
 	d.done = true
 	d.srcLeft = 0
 	d.eqs = nil
@@ -553,7 +561,7 @@ func (d *decoder) finish() {
 
 // alloc hands out one packet buffer from the slab arena (contents
 // arbitrary — callers copy or clear).
-func (d *decoder) alloc() []byte {
+func (d *Decoder) alloc() []byte {
 	if n := len(d.free); n > 0 {
 		b := d.free[n-1]
 		d.free = d.free[:n-1]
@@ -572,7 +580,7 @@ func (d *decoder) alloc() []byte {
 	return b
 }
 
-func (d *decoder) freeBuf(b []byte) {
+func (d *Decoder) freeBuf(b []byte) {
 	if b != nil {
 		d.free = append(d.free, b)
 	}
@@ -580,35 +588,36 @@ func (d *decoder) freeBuf(b []byte) {
 
 // addWaiter registers equation id on intermediate v: one arena append,
 // one head swap.
-func (d *decoder) addWaiter(v int, id int32) {
+func (d *Decoder) addWaiter(v int, id int32) {
 	d.wnodes = append(d.wnodes, wnode{id: id, next: d.whead[v]})
 	d.whead[v] = int32(len(d.wnodes) - 1)
 }
 
 // Done implements code.Decoder.
-func (d *decoder) Done() bool { return d.done }
+func (d *Decoder) Done() bool { return d.done }
 
 // Received implements code.Decoder: distinct accepted packets.
-func (d *decoder) Received() int { return len(d.seen) }
+func (d *Decoder) Received() int { return len(d.seen) }
 
 // Released implements code.ReleaseCounter: the number of coded-equation
-// releases — each one a deferred-XOR event exposing a symbol. A receiver
-// of the k systematic packets reports exactly 0.
-func (d *decoder) Released() int { return d.released }
+// releases on the peeling path — each one a deferred-XOR event exposing a
+// symbol. Columns the elimination endgame solves are not counted. A
+// receiver of the k systematic packets reports exactly 0.
+func (d *Decoder) Released() int { return d.released }
 
 // XORs returns the payload XORSlice count on the peeling path (the
 // elimination endgame's internal row combinations are not included).
 // Zero loss ⇒ zero.
-func (d *decoder) XORs() int { return d.xors }
+func (d *Decoder) XORs() int { return d.xors }
 
 // Source implements code.Decoder.
-func (d *decoder) Source() ([][]byte, error) {
+func (d *Decoder) Source() ([][]byte, error) {
 	if !d.done {
 		return nil, code.ErrNotReady
 	}
 	for v, val := range d.values[:d.c.k] {
 		if val == nil {
-			return nil, fmt.Errorf("raptor: symbol %d unresolved after completion", v)
+			return nil, fmt.Errorf("rateless: symbol %d unresolved after completion", v)
 		}
 	}
 	return d.values[:d.c.k], nil
