@@ -109,12 +109,13 @@ func NewLT(k, packetLen int, seed int64, c, delta float64) (Codec, error) {
 }
 
 // NewRaptor constructs the precoded systematic rateless codec: a sparse
-// Tornado-style precode stretches the k source packets to k+checks
-// intermediate symbols, and a weakened truncated-soliton LT code emits over
-// the intermediates. The first k encoding packets ARE the source packets —
-// a lossless receiver stores k packets verbatim and performs zero XOR work
-// — and the precode's check equations are free rank, so decode cost stays
-// linear and reception overhead a couple of percent. c/delta tune the
+// Tornado-style precode relates k+checks intermediate symbols, and a
+// weakened truncated-soliton LT code emits over the intermediates. The
+// first k encoding packets ARE the source packets — a lossless receiver
+// stores k packets verbatim and performs zero XOR work — and source i is
+// itself an inner-code row over intermediates the encoder solves for
+// (pre-inverted, as in RFC 5053), so every received packet is useful and
+// reception overhead stays a few percent wherever the losses fall. c/delta tune the
 // inner distribution, checks/maxD the precode size and degree truncation
 // (<= 0 everywhere selects k-dependent defaults).
 func NewRaptor(k, packetLen int, seed int64, c, delta float64, checks, maxD int) (Codec, error) {

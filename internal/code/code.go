@@ -106,8 +106,8 @@ var ErrNotReady = errors.New("code: not enough packets received to decode")
 // ReleaseCounter is an optional Decoder capability counting symbol-release
 // work: how many coded equations the decoder has released on its peeling
 // path, each one XOR-combined to expose a source or intermediate value.
-// Symbols solved by an elimination endgame are not releases and are not
-// counted. A systematic decoder fed a lossless stream reports zero — every
+// Symbols solved by an elimination endgame, or rebuilt from other
+// solved symbols, are not releases and are not counted. A systematic decoder fed a lossless stream reports zero — every
 // packet was stored verbatim — which is the property differential tests
 // pin down and traces surface per receiver.
 type ReleaseCounter interface {

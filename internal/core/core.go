@@ -246,11 +246,12 @@ func NewSessionCached(data []byte, cfg Config, cache *BlockCache) (*Session, err
 		sched:    sc,
 	}
 	if code.IsRateless(codec) {
-		// Rateless session: only the k source packets are resident, ever.
-		// The monotone carousel emits each index once, so there is no
-		// reuse for the block cache to exploit — payloads are generated
-		// per emission and dropped, and memory stays bounded at the
-		// source buffer regardless of how long the fountain runs.
+		// Rateless session: only the k source packets (plus, for raptor,
+		// its codec's cached intermediate symbols) are resident. The
+		// monotone carousel emits each index once, so there is no reuse
+		// for the block cache to exploit — payloads are generated per
+		// emission and dropped, and memory stays bounded regardless of how
+		// long the fountain runs.
 		s.rateless = true
 		s.src = src
 		s.ranger = codec.(code.RangeEncoder)
@@ -370,6 +371,16 @@ func (s *Session) cachePut(key int, pkts [][]byte) [][]byte {
 		}
 	}
 	return s.cache.put(s, key, pkts, charged)
+}
+
+// ReleaseEncoder frees the encoder state the codec caches for this
+// session's source block — a raptor session's intermediate symbols. The
+// next packet that needs it recomputes it, so emission stays
+// bit-identical; services call this when they stop carrying the session.
+func (s *Session) ReleaseEncoder() {
+	if r, ok := s.codec.(interface{ ReleaseEncoder() }); ok {
+		r.ReleaseEncoder()
+	}
 }
 
 // Codec exposes the session's erasure codec.
@@ -522,10 +533,13 @@ func (s *Session) BurstRound(layer, round int) bool {
 // ηd = distinct/total.
 type Receiver struct {
 	info    proto.SessionInfo
-	dec     code.Decoder
-	total   int // packets accepted (right session, parseable)
+	dec     code.Decoder // nil once File has verified the bytes
+	total   int          // packets accepted (right session, parseable)
 	done    bool
 	fileBuf []byte
+
+	// The decoder's counters, snapshot when it is dropped.
+	distinct, released int
 }
 
 // NewReceiver builds a receiver from the control descriptor. The receiver
@@ -615,7 +629,11 @@ func (r *Receiver) File() ([]byte, error) {
 			return nil, fmt.Errorf("core: file digest mismatch: got %x want %x", got, r.info.Digest)
 		}
 	}
+	// The verified bytes are all that is needed from here on: snapshot the
+	// counters and let the decoder's buffers go.
 	r.fileBuf = data
+	r.distinct, r.released = r.dec.Received(), r.Released()
+	r.dec = nil
 	return data, nil
 }
 
@@ -624,6 +642,9 @@ func (r *Receiver) File() ([]byte, error) {
 // rateless session on a lossless channel reports 0: every packet was
 // stored verbatim, no decode work happened at all.
 func (r *Receiver) Released() int {
+	if r.dec == nil {
+		return r.released
+	}
 	if rc, ok := r.dec.(code.ReleaseCounter); ok {
 		return rc.Released()
 	}
@@ -632,6 +653,9 @@ func (r *Receiver) Released() int {
 
 // Stats returns (total received, distinct, k) for efficiency computation.
 func (r *Receiver) Stats() (total, distinct, k int) {
+	if r.dec == nil {
+		return r.total, r.distinct, int(r.info.K)
+	}
 	return r.total, r.dec.Received(), int(r.info.K)
 }
 

@@ -209,3 +209,63 @@ func TestEmptyishFile(t *testing.T) {
 		t.Fatalf("tiny file: %v %v", got, err)
 	}
 }
+
+// TestReceiverFileDropsDecoder: once File has verified the bytes the
+// receiver lets its decoder go, for every codec. A second File returns the
+// same bytes, and Stats and Released answer exactly as before.
+func TestReceiverFileDropsDecoder(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	data := randData(rng, 12_000)
+	for _, codec := range []uint8{proto.CodecTornadoA, proto.CodecCauchy, proto.CodecLT, proto.CodecRaptor} {
+		cfg := DefaultConfig()
+		cfg.Codec = codec
+		cfg.Layers = 1
+		cfg.PacketLen = 64
+		sess, err := NewSession(data, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rcv, err := NewReceiver(sess.Info())
+		if err != nil {
+			t.Fatal(err)
+		}
+		car := NewCarousel(sess)
+		loss := rand.New(rand.NewSource(int64(codec)))
+		for rounds := 0; !rcv.Done(); rounds++ {
+			if rounds > 20*sess.Codec().K() {
+				t.Fatalf("codec %d: no decode after %d rounds", codec, rounds)
+			}
+			if err := car.NextRound(func(layer int, pkt []byte) error {
+				if loss.Float64() < 0.1 {
+					return nil
+				}
+				_, err := rcv.HandleRaw(pkt)
+				return err
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		total, distinct, k := rcv.Stats()
+		released := rcv.Released()
+		first, err := rcv.File()
+		if err != nil {
+			t.Fatalf("codec %d: %v", codec, err)
+		}
+		if rcv.dec != nil {
+			t.Fatalf("codec %d: decoder kept after File", codec)
+		}
+		second, err := rcv.File()
+		if err != nil || !bytes.Equal(first, data) || !bytes.Equal(second, first) {
+			t.Fatalf("codec %d: second File differs (err %v)", codec, err)
+		}
+		if t2, d2, k2 := rcv.Stats(); t2 != total || d2 != distinct || k2 != k {
+			t.Fatalf("codec %d: Stats %d/%d/%d after File, want %d/%d/%d", codec, t2, d2, k2, total, distinct, k)
+		}
+		if r2 := rcv.Released(); r2 != released {
+			t.Fatalf("codec %d: Released %d after File, want %d", codec, r2, released)
+		}
+		if done, err := rcv.Handle(0, make([]byte, cfg.PacketLen)); !done || err != nil {
+			t.Fatalf("codec %d: Handle after File: done=%v err=%v", codec, done, err)
+		}
+	}
+}

@@ -17,7 +17,7 @@
 //
 // The per-index draws, the encoder and the decoder are internal/rateless's
 // engine with no precode and no systematic prefix: belief-propagation
-// peeling with lazy XOR release, backed by a GF(2) elimination endgame so
+// peeling with lazy XOR release, backed by an inactivation endgame so
 // reception overhead stays near the rank bound instead of stalling on an
 // empty ripple.
 package lt

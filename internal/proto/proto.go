@@ -183,8 +183,13 @@ const (
 	CodecLT
 	// CodecRaptor is the precoded systematic rateless code: like CodecLT
 	// the index space is unbounded, but the first K encoding packets ARE
-	// the source packets and repair packets are inner-coded over the
-	// precode's intermediate symbols (RaptorS, RaptorMaxD below).
+	// the source packets. Every packet is an inner-code row over the
+	// precode's intermediate symbols (RaptorS, RaptorMaxD below): a repair
+	// packet by its index, source packet i by its virtual row, which both
+	// sides derive from the descriptor. The sender solves for
+	// intermediates that make the virtual rows reproduce the sources
+	// (pre-inverted, as in RFC 5053), so streams from senders before that
+	// mapping carry different repair bytes and fail the Digest check.
 	CodecRaptor
 )
 

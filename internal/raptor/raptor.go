@@ -11,15 +11,19 @@
 // linear time. Truncation alone would strand a small fraction of
 // intermediates uncovered; the precode's check equations — known to both
 // sides by construction, never transmitted — supply exactly the extra
-// relations the peeling decoder needs to clean up that residue, which is
-// why the elimination endgame drops out of the hot path.
+// relations the peeling decoder needs to clean up that residue, which
+// keeps the inactivation endgame's dense core small.
 //
-// The code is systematic (SNIPPETS.md snippet 2's systematic=True idiom):
-// encoding packet i < k IS source packet i, and repair packets i >= k are
-// inner-coded over the intermediates. A receiver that loses nothing
-// therefore reconstructs the file with zero XOR work — the paper's ideal
-// "packets straight off the wire" path — while lossy receivers decode
-// from any ≈1.02k distinct packets.
+// The code is systematic (SNIPPETS.md snippet 2's systematic=True idiom)
+// through RFC 5053's pre-inverted mapping: encoding packet i < k IS source
+// packet i, but source i is defined as an inner-code row over the
+// intermediates (its virtual row), and the sender computes the
+// intermediates by one sparse GF(2) solve so that every virtual row
+// reproduces its source. Systematic and repair packets are therefore
+// equations of one well-formed LT code over the intermediates, and a
+// receiver decodes from any ≈1.02k distinct packets whichever ones it
+// lost. A receiver that loses nothing still reconstructs the file with
+// zero XOR work: it holds the k source packets and never solves.
 //
 // The per-index draws, the encoder loop and the decoder are
 // internal/rateless's engine; this package supplies the truncated soliton,
@@ -32,7 +36,6 @@ import (
 	"sync"
 
 	"repro/internal/code"
-	"repro/internal/gf"
 	"repro/internal/rateless"
 	"repro/internal/tornado"
 )
@@ -107,9 +110,10 @@ type Codec struct {
 	checkSrc [][]int32
 
 	// One-slot intermediate-symbol cache: core.Session emits the carousel
-	// one EncodeRange(i, i+1) call at a time, so the precode expansion of
-	// the session's source block must be computed once and reused, keyed
-	// by the source slice's identity.
+	// one EncodeRange(i, i+1) call at a time, so the solve for the
+	// session's source block must run once and be reused, keyed by the
+	// source slice's identity. Computed at the first repair packet and
+	// freed by ReleaseEncoder.
 	encMu  sync.Mutex
 	encKey *byte
 	inter  [][]byte
@@ -225,30 +229,26 @@ func (c *Codec) MaxDegree() int { return c.maxD }
 // Intermediates returns L = k + s, the inner code's symbol space.
 func (c *Codec) Intermediates() int { return c.K() + c.Checks() }
 
-// intermediates returns the precode expansion of src: L symbols whose
-// first k alias src and whose last s are the check XORs. Cached per
-// source-slice identity (the resident session block) under encMu.
+// intermediates returns the L intermediate symbols of src, solving for
+// them on a cache miss. Cached per source-slice identity (the resident
+// session block) under encMu.
 func (c *Codec) intermediates(src [][]byte) [][]byte {
 	key := &src[0][0]
 	c.encMu.Lock()
 	defer c.encMu.Unlock()
-	if c.encKey == key {
-		return c.inter
+	if c.encKey != key {
+		c.inter = c.SolveIntermediates(src)
+		c.encKey = key
 	}
-	inter := make([][]byte, c.Intermediates())
-	copy(inter, src)
-	pl := c.PacketLen()
-	store := make([]byte, c.Checks()*pl)
-	for j, srcs := range c.checkSrc {
-		p := store[j*pl : (j+1)*pl]
-		for _, s := range srcs {
-			gf.XORSlice(p, src[s])
-		}
-		inter[c.K()+j] = p
-	}
-	c.encKey = key
-	c.inter = inter
-	return inter
+	return c.inter
+}
+
+// ReleaseEncoder drops the cached intermediate symbols. The next repair
+// packet solves for them again, so releasing never changes the packets.
+func (c *Codec) ReleaseEncoder() {
+	c.encMu.Lock()
+	c.encKey, c.inter = nil, nil
+	c.encMu.Unlock()
 }
 
 // EncodeRange implements code.RangeEncoder. Systematic entries alias src

@@ -5,52 +5,65 @@
 //     to the decoder by construction and present from packet zero (their
 //     "payload" is the implicit all-zero packet — never allocated, never
 //     transmitted), and
-//   - the received coded packets (systematic packets resolve their
-//     intermediate directly; the others are inner-code equations).
+//   - the received packets: a repair packet is the equation of its
+//     neighbor set; a systematic packet i is source i, the equation of its
+//     virtual row.
 //
 // An LT code has no static equations and no systematic prefix, so for it
-// the decoder is plain peeling with lazy XOR release plus the endgame.
-// For raptor the static equations are free rank: a receiver needs only ≈k
-// received symbols regardless of s, because the s check symbols come with
-// their own defining equations. They are also why the weakened
-// (truncated) inner distribution decodes at all — the residue it strands
-// is exactly what the precode peels.
+// the decoder is plain peeling with lazy XOR release plus the endgame, and
+// its intermediates are the sources. For raptor the static equations are
+// free rank: a receiver needs only ≈k received symbols regardless of s,
+// because the s check symbols come with their own defining equations.
 //
-// Two mechanisms keep the hot path linear and the lossless path free:
+// Deferral. Systematic payloads are held aside as source output and fed in
+// as virtual-row equations only when the first non-systematic index
+// arrives. A receiver that gets all k systematic packets first is done at
+// exactly k packets with zero XOR work and never touches the
+// intermediates; any other receiver solves for the intermediates, rebuilds
+// the sources it missed from their virtual rows, and drops the
+// intermediates.
 //
 // Parking. An equation whose single unknown is a *check* symbol that no
 // other live equation wants is parked, not released: releasing it would
-// spend check-degree XORs computing a value nobody reads. At zero loss
-// every static equation ends parked on its own check symbol, so a
-// receiver of the k systematic packets performs exactly zero XOR work.
-// A parked equation is revived the moment a new packet registers as a
-// waiter on its check symbol.
+// spend check-degree XORs computing a value nobody reads yet. A parked
+// equation is revived the moment a new packet registers as a waiter on its
+// check symbol; a check still unresolved at completion is computed from
+// its static equation only if a missing source's virtual row needs it.
 //
-// Elimination endgame. When peeling stalls with a small residue, a
-// reduced GF(2) system is solved over the unresolved sources plus only
-// those check symbols some live received equation references — a check
-// symbol appearing solely in its own static equation is a free variable,
-// so that row and column drop together. The rank-deficit gate (needMore)
-// bounds attempts, as in the Tornado decoder.
+// Endgame. When the live equations could cover the unknowns, the residual
+// system — the unresolved intermediates among the first k plus the check
+// symbols some live received equation references — goes to the
+// inactivation solver (solve.go). A check symbol appearing solely in its
+// own static equation is a free variable, so that row and column drop
+// together. The solver settles rank on structure alone; a rank deficit
+// sets a gate (needMore) that waits for that much new information before
+// the next attempt.
 package rateless
 
 import (
 	"fmt"
 
-	"repro/internal/bitmat"
 	"repro/internal/code"
 	"repro/internal/gf"
 )
 
 // eq is one decoding equation. Ids [0, s) are the static precode
-// equations (data == nil: the implicit zero payload); received coded
-// packets append after. data holds the raw payload as received; resolved
-// neighbors are XORed out lazily at release time.
+// equations (data == nil: the implicit zero payload); received packets
+// append after. index is the row the equation's neighbors derive from:
+// the wire index of a repair packet, the virtual row of a systematic one.
+// data holds the payload as received — for a virtual row it is the held
+// source buffer, which is never written — and resolved neighbors are XORed
+// out lazily at release time.
 type eq struct {
-	index     uint32 // wire index (received equations only)
-	data      []byte // arena-backed payload; nil for static equations
-	remaining int32  // unresolved neighbors; 0 = retired
+	index     uint32
+	data      []byte
+	remaining int32 // unresolved neighbors; 0 = retired
+	nb0, nb1  int32 // a received equation's neighbors: Decoder.nbs[nb0:nb1]
 }
+
+// virtual reports whether the equation is a systematic packet's virtual
+// row, whose payload is shared with the source output.
+func (e *eq) virtual() bool { return e.index >= VirtualBase }
 
 // Decoder is the engine's code.Decoder; NewDecoder returns one per
 // receiver.
@@ -58,8 +71,8 @@ type Decoder struct {
 	c *Code
 
 	values   [][]byte // per intermediate symbol; nil while unresolved
-	srcLeft  int      // unresolved source symbols (done when 0)
-	resolved int      // resolved intermediates (sources + checks)
+	left     int      // unresolved intermediates among the first k
+	resolved int      // resolved intermediates (first k and checks)
 	eqs      []eq     // [0,s) static, then received
 	// Waiter lists (intermediate -> ids of buffered equations covering
 	// it) as linked nodes in one growable arena — registration never
@@ -70,19 +83,30 @@ type Decoder struct {
 	active   int                 // equations with remaining > 0
 	parked   []int32             // per check j: 1+id of an equation parked on k+j, 0 if none
 	seen     map[uint32]struct{} // distinct accepted wire indices
-	needMore int                 // rank-deficit gate for the elimination endgame
+	needMore int                 // rank-deficit gate for the endgame
+
+	// Source output: nil for a code without a systematic prefix, whose
+	// sources are its first k intermediates. Otherwise the held systematic
+	// payloads, completed from the virtual rows at the end; held counts
+	// them, and fed records that the first non-systematic index arrived.
+	src  [][]byte
+	held int
+	fed  bool
 
 	released int // coded-equation releases: the deferred-XOR events
 	xors     int // payload XORSlice calls on the peeling path
 
 	nbuf []int
+	nbs  []int32 // neighbor lists of the buffered received equations
 	done bool
 
-	// Slab arena + free list for payload buffers: the steady-state intake
+	// Slab arenas + free list for payload buffers: the steady-state intake
 	// path allocates O(1) slabs per 16 packets instead of one buffer per
-	// packet.
-	slab []byte
-	free [][]byte
+	// packet. Source output has its own arena so that dropping the
+	// intermediates at completion frees theirs.
+	slab    []byte
+	free    [][]byte
+	srcSlab []byte
 }
 
 // wnode is one waiter registration: equation id, plus the next node on
@@ -116,7 +140,10 @@ func (c *Code) NewDecoder() code.Decoder {
 		}
 	}
 	d.active = s
-	d.srcLeft = c.k
+	d.left = c.k
+	if c.sys > 0 {
+		d.src = make([][]byte, c.k)
+	}
 	return d
 }
 
@@ -136,73 +163,28 @@ func (d *Decoder) Add(i int, data []byte) (bool, error) {
 	resBefore := d.resolved
 	contributed := false
 	if i < d.c.sys {
-		// Systematic packet: the payload IS intermediate i. No XOR, no
-		// equation bookkeeping beyond the resolve ripple.
-		if d.values[i] == nil {
-			buf := d.alloc()
-			copy(buf, data)
-			contributed = true
-			d.resolve(i, buf)
-			d.drainRipple()
+		// Systematic packet: the payload IS source i. Held as output; an
+		// equation only once repair packets are in play.
+		buf := d.srcAlloc()
+		copy(buf, data)
+		d.src[i] = buf
+		if d.held++; d.held == d.c.k {
+			d.complete()
+			return true, nil
+		}
+		if d.fed {
+			contributed = d.addEquation(d.c.VirtualRows()[i], buf)
 		}
 	} else {
-		d.nbuf = d.c.NeighborsInto(index, d.nbuf)
-		unresolved := 0
-		last := -1
-		for _, nb := range d.nbuf {
-			if d.values[nb] == nil {
-				unresolved++
-				last = nb
-			}
+		if d.src != nil && !d.fed {
+			d.feed()
 		}
-		switch unresolved {
-		case 0:
-			// Redundant at arrival: adds no equation, must not pay down a
-			// pending elimination deficit.
-		case 1:
-			// Immediately releasable.
-			buf := d.alloc()
-			copy(buf, data)
-			for _, nb := range d.nbuf {
-				if v := d.values[nb]; v != nil {
-					gf.XORSlice(buf, v)
-					d.xors++
-				}
-			}
-			d.released++
-			contributed = true
-			d.resolve(last, buf)
-			d.drainRipple()
-		default:
-			id := int32(len(d.eqs))
-			buf := d.alloc()
-			copy(buf, data)
-			d.eqs = append(d.eqs, eq{index: index, data: buf, remaining: int32(unresolved)})
-			d.active++
-			contributed = true
-			for _, nb := range d.nbuf {
-				if d.values[nb] != nil {
-					continue
-				}
-				d.addWaiter(nb, id)
-				if nb >= d.c.k {
-					// A new customer for this check symbol: revive any
-					// equation parked on it.
-					if p := d.parked[nb-d.c.k]; p != 0 {
-						d.parked[nb-d.c.k] = 0
-						d.relq = append(d.relq, p-1)
-					}
-				}
-			}
-			d.drainRipple()
-		}
+		contributed = d.addEquation(index, data)
 	}
-	// Pay down the elimination rank-deficit gate by actual progress: a
+	// Pay down the endgame's rank-deficit gate by actual progress: a
 	// contributing equation adds prospective rank, and every symbol
 	// resolved since the packet arrived removes a column from the residual
-	// system. Counting contributions alone would lock the endgame out for
-	// the whole systematic prefix of a lossy stream, where packets resolve
-	// symbols directly.
+	// system.
 	if d.needMore > 0 {
 		progress := d.resolved - resBefore
 		if contributed {
@@ -213,14 +195,88 @@ func (d *Decoder) Add(i int, data []byte) (bool, error) {
 		}
 	}
 	if !d.done {
-		// Attempt the endgame only when peeling has actually stalled: an
-		// Add that resolved nothing. While the ripple is alive, building
-		// the residual system would be pure waste — near the active ≈
-		// srcLeft boundary it is both large and rank-deficient, and each
-		// failed build costs a full rhs reduction.
-		d.tryEliminate(d.resolved == resBefore)
+		d.tryEliminate()
 	}
 	return d.done, nil
+}
+
+// feed turns the held systematic payloads into virtual-row equations: the
+// first non-systematic index has arrived, so the receiver is decoding the
+// intermediates rather than collecting sources. Fewer than k held rows
+// plus the s static ones cannot determine the L intermediates, so feeding
+// never completes the decode by itself.
+func (d *Decoder) feed() {
+	d.fed = true
+	vr := d.c.VirtualRows()
+	for i, s := range d.src {
+		if s != nil {
+			d.addEquation(vr[i], s)
+		}
+	}
+}
+
+// addEquation admits the equation of row index with payload data and
+// reports whether it contributed (was not redundant on arrival). A
+// virtual row's payload is the held source buffer and is never written;
+// any other payload is copied into the arena.
+func (d *Decoder) addEquation(index uint32, data []byte) bool {
+	d.nbuf = d.c.NeighborsInto(index, d.nbuf)
+	unresolved := 0
+	last := -1
+	for _, nb := range d.nbuf {
+		if d.values[nb] == nil {
+			unresolved++
+			last = nb
+		}
+	}
+	switch unresolved {
+	case 0:
+		// Redundant at arrival: adds no equation, must not pay down a
+		// pending endgame deficit.
+		return false
+	case 1:
+		// Immediately releasable.
+		buf := d.alloc()
+		copy(buf, data)
+		for _, nb := range d.nbuf {
+			if v := d.values[nb]; v != nil {
+				gf.XORSlice(buf, v)
+				d.xors++
+			}
+		}
+		d.released++
+		d.resolve(last, buf)
+		d.drainRipple()
+		return true
+	}
+	id := int32(len(d.eqs))
+	e := eq{index: index, data: data, remaining: int32(unresolved), nb0: int32(len(d.nbs))}
+	if !e.virtual() {
+		e.data = d.alloc()
+		copy(e.data, data)
+	}
+	for _, nb := range d.nbuf {
+		d.nbs = append(d.nbs, int32(nb))
+	}
+	e.nb1 = int32(len(d.nbs))
+	d.eqs = append(d.eqs, e)
+	d.active++
+	for _, nb := range d.nbuf {
+		if d.values[nb] != nil {
+			continue
+		}
+		d.addWaiter(nb, id)
+		if nb >= d.c.k {
+			// A new customer for this check symbol: revive any
+			// equation parked on it.
+			if p := d.parked[nb-d.c.k]; p != 0 {
+				d.parked[nb-d.c.k] = 0
+				d.relq = append(d.relq, p-1)
+			}
+		}
+	}
+	d.drainRipple()
+	return true
 }
 
 // resolve records intermediate s's value and decrements every live
@@ -230,9 +286,8 @@ func (d *Decoder) resolve(s int, val []byte) {
 	d.values[s] = val
 	d.resolved++
 	if s < d.c.k {
-		d.srcLeft--
-		if d.srcLeft == 0 {
-			d.finish()
+		if d.left--; d.left == 0 {
+			d.complete()
 			return
 		}
 	} else if p := d.parked[s-d.c.k]; p != 0 {
@@ -265,13 +320,21 @@ func (d *Decoder) resolve(s int, val []byte) {
 			case 0:
 				// Queued for release with s as its last unknown; now
 				// fully covered, hence redundant.
-				d.freeBuf(e.data)
-				e.data = nil
+				d.dropData(e)
 				d.active--
 			}
 		}
 	}
-	d.whead[s] = -1 // nodes stay in the arena; freed wholesale at finish
+	d.whead[s] = -1 // nodes stay in the arena; freed wholesale at completion
+}
+
+// dropData returns a retired equation's payload buffer to the arena (a
+// virtual row's shared source buffer stays with the output).
+func (d *Decoder) dropData(e *eq) {
+	if e.data != nil && !e.virtual() {
+		d.freeBuf(e.data)
+	}
+	e.data = nil
 }
 
 // needed reports whether releasing equation id's check-symbol target
@@ -295,8 +358,7 @@ func (d *Decoder) needed(id int32, target int) bool {
 // drainRipple releases queued equations until the ripple is empty or the
 // decode completes. Releasing performs the whole deferred XOR at once;
 // equations whose last unknown is an unwanted check symbol are parked
-// instead (see the package comment — this is the zero-loss zero-XOR
-// path).
+// instead (see the package comment).
 func (d *Decoder) drainRipple() {
 	for len(d.relq) > 0 && !d.done {
 		id := d.relq[len(d.relq)-1]
@@ -320,10 +382,9 @@ func (d *Decoder) drainRipple() {
 				}
 			}
 		} else {
-			d.nbuf = d.c.NeighborsInto(e.index, d.nbuf)
-			for _, nb := range d.nbuf {
+			for _, nb := range d.nbs[e.nb0:e.nb1] {
 				if d.values[nb] == nil {
-					target = nb
+					target = int(nb)
 					break
 				}
 			}
@@ -332,10 +393,7 @@ func (d *Decoder) drainRipple() {
 			// Bookkeeping says one unknown but none found — defensive:
 			// retire rather than corrupt.
 			e.remaining = 0
-			if e.data != nil {
-				d.freeBuf(e.data)
-				e.data = nil
-			}
+			d.dropData(e)
 			d.active--
 			continue
 		}
@@ -344,13 +402,17 @@ func (d *Decoder) drainRipple() {
 			continue
 		}
 		var val []byte
-		if e.data != nil {
-			val = e.data
-			e.data = nil
-		} else {
+		switch {
+		case e.data == nil:
 			val = d.alloc()
 			clear(val)
+		case e.virtual():
+			val = d.alloc()
+			copy(val, e.data)
+		default:
+			val = e.data
 		}
+		e.data = nil
 		if static {
 			j := int(id)
 			for _, nb := range d.c.checks[j] {
@@ -364,7 +426,7 @@ func (d *Decoder) drainRipple() {
 				d.xors++
 			}
 		} else {
-			for _, nb := range d.nbuf {
+			for _, nb := range d.nbs[e.nb0:e.nb1] {
 				if v := d.values[nb]; v != nil {
 					gf.XORSlice(val, v)
 					d.xors++
@@ -378,166 +440,124 @@ func (d *Decoder) drainRipple() {
 	}
 }
 
-// elimMax bounds the residual system the endgame will solve: elimination
-// is cubic, so peeling must shrink the residue below ~k/8 first. Without
-// a precode (LT) the endgame finishes the tail the ripple would stall on;
-// with one (raptor), cleaning the truncated inner code's residue, the
-// system is typically a few dozen columns.
-func (d *Decoder) elimMax() int {
-	if m := d.c.k / 8; m > 768 {
-		return m
-	}
-	return 768
-}
-
-// tryEliminate solves the reduced residual system when peeling has
-// stalled: unresolved sources plus the check symbols some live received
-// equation references, over the live received equations plus the static
-// equations whose own check is either resolved or referenced. A check
-// symbol appearing only in its own static equation is a free variable —
-// that row and column leave the system together, which keeps the matrix
-// near the true information deficit instead of O(s) wide.
-func (d *Decoder) tryEliminate(stalled bool) {
-	if d.done || d.needMore > 0 || d.srcLeft == 0 {
-		return
-	}
-	// A live ripple usually makes the build pure waste — except at the
-	// very end, where the residual system is tiny, solving it is cheaper
-	// than the dribble of tail packets peeling would wait for.
-	if !stalled && d.srcLeft > 768 {
-		return
-	}
-	if d.srcLeft > d.elimMax() {
-		return
-	}
-	if d.active < d.srcLeft {
-		// Not enough live equations to cover the unknowns. This is an O(1)
-		// check recomputed on every Add, so it must NOT set needMore: on a
-		// lossy systematic stream the deficit shrinks by two per packet
-		// (one equation in, one unknown out) and a counted-down gate would
-		// overshoot, locking elimination out past the prefix.
+// tryEliminate hands the residual system to the inactivation solver once
+// the live equations could cover its unknowns: the unresolved
+// intermediates among the first k plus the check symbols some live
+// received equation references, over the live received equations plus the
+// static equations whose own check is either resolved or referenced. A
+// check symbol appearing only in its own static equation is a free
+// variable — that row and column leave the system together, which keeps
+// the system near the true information deficit instead of O(s) wider.
+func (d *Decoder) tryEliminate() {
+	if d.done || d.needMore > 0 || d.left == 0 || d.active < d.left {
+		// Fewer live equations than unknowns is an O(1) check recomputed on
+		// every Add, so it must NOT set needMore: while peeling resolves
+		// symbols the deficit shrinks faster than one per packet, and a
+		// counted-down gate would overshoot.
 		return
 	}
 	k, s := d.c.k, len(d.c.checks)
-	colOf := make(map[int]int, 2*d.srcLeft)
-	syms := make([]int, 0, 2*d.srcLeft)
-	addCol := func(v int) {
-		if _, ok := colOf[v]; !ok {
-			colOf[v] = len(syms)
+	colOf := make([]int32, d.c.l) // 1 + column id; 0 = not a column
+	syms := make([]int, 0, 2*d.left)
+	col := func(v int) int32 {
+		if colOf[v] == 0 {
 			syms = append(syms, v)
+			colOf[v] = int32(len(syms))
 		}
+		return colOf[v] - 1
 	}
+	// First the unknowns and the rows, so that a short system is turned
+	// away before anything is built.
 	for v := 0; v < k; v++ {
 		if d.values[v] == nil {
-			addCol(v)
+			col(v)
 		}
 	}
-	recvRows := make([]int32, 0, d.active)
+	var rows []int32 // equation id per system row
+	nnz := 0
 	for id := int32(s); id < int32(len(d.eqs)); id++ {
-		if d.eqs[id].remaining <= 0 {
+		e := &d.eqs[id]
+		if e.remaining <= 0 {
 			continue
 		}
-		d.nbuf = d.c.NeighborsInto(d.eqs[id].index, d.nbuf)
-		for _, nb := range d.nbuf {
+		for _, nb := range d.nbs[e.nb0:e.nb1] {
 			if d.values[nb] == nil {
-				addCol(nb)
+				col(int(nb))
 			}
 		}
-		recvRows = append(recvRows, id)
+		rows = append(rows, id)
+		nnz += int(e.nb1 - e.nb0)
 	}
-	staticRows := make([]int32, 0, s)
 	for j := 0; j < s; j++ {
-		if d.eqs[j].remaining <= 0 {
-			continue
-		}
 		own := k + j
-		if d.values[own] != nil {
-			staticRows = append(staticRows, int32(j))
-			continue
-		}
-		if _, ok := colOf[own]; ok {
-			staticRows = append(staticRows, int32(j))
+		if d.eqs[j].remaining > 0 && (d.values[own] != nil || colOf[own] != 0) {
+			rows = append(rows, int32(j))
+			nnz += len(d.c.checks[j]) + 1
 		}
 	}
-	cols := len(syms)
-	if cols > 2*d.elimMax() {
-		d.needMore = (cols - d.elimMax() + 3) / 4
+	unknown := len(syms)
+	if len(rows) < unknown {
+		d.needMore = deficitWait(unknown - len(rows))
 		return
 	}
-	rows := len(recvRows) + len(staticRows)
-	if rows < cols {
-		d.needMore = deficitWait(cols - rows)
-		return
-	}
-	// Received rows first (they carry the payload information), static
-	// rows fill the surplus, capped as in the Tornado endgame.
-	if max := cols + 64; rows > max {
-		rows = max
-	}
-	m := bitmat.New(rows, cols)
-	rhs := make([][]byte, rows)
-	store := make([]byte, rows*d.c.packetLen)
-	r := 0
-	for _, id := range recvRows {
-		if r == rows {
-			break
-		}
-		buf := store[r*d.c.packetLen : (r+1)*d.c.packetLen]
-		copy(buf, d.eqs[id].data)
-		d.nbuf = d.c.NeighborsInto(d.eqs[id].index, d.nbuf)
-		for _, nb := range d.nbuf {
-			if v := d.values[nb]; v != nil {
-				gf.XORSlice(buf, v)
-			} else {
-				m.Set(r, colOf[nb], true)
+	// Resolved neighbors of a received repair equation are folded into its
+	// own payload once the solve is certain (the equation dies with it).
+	// Those of a virtual row or a static equation, whose payloads are
+	// shared or implicit, become known columns instead, so nothing is
+	// copied.
+	sys := newSystem(0, len(rows), nnz)
+	for _, id := range rows {
+		if id < int32(s) {
+			for _, nb := range d.c.checks[id] {
+				sys.cols = append(sys.cols, col(int(nb)))
 			}
-		}
-		rhs[r] = buf
-		r++
-	}
-	for _, jd := range staticRows {
-		if r == rows {
-			break
-		}
-		j := int(jd)
-		buf := store[r*d.c.packetLen : (r+1)*d.c.packetLen] // implicit zero payload
-		for _, nb := range d.c.checks[j] {
-			if v := d.values[nb]; v != nil {
-				gf.XORSlice(buf, v)
-			} else {
-				m.Set(r, colOf[int(nb)], true)
-			}
-		}
-		own := k + j
-		if v := d.values[own]; v != nil {
-			gf.XORSlice(buf, v)
+			sys.cols = append(sys.cols, col(k+int(id)))
 		} else {
-			m.Set(r, colOf[own], true)
-		}
-		rhs[r] = buf
-		r++
-	}
-	sol, rank, ok := bitmat.TrySolve(m, rhs)
-	if !ok {
-		d.needMore = deficitWait(cols - rank)
-		return
-	}
-	for ci, v := range syms {
-		if d.values[v] == nil {
-			d.values[v] = sol[ci]
-			if v < k {
-				d.srcLeft--
+			e := &d.eqs[id]
+			for _, nb := range d.nbs[e.nb0:e.nb1] {
+				if e.virtual() || d.values[nb] == nil {
+					sys.cols = append(sys.cols, col(int(nb)))
+				}
 			}
 		}
+		sys.endRow()
 	}
-	d.resolved = d.c.l
-	d.finish()
+	sys.n = len(syms)
+	sys.known = make([]bool, sys.n)
+	vals := make([][]byte, sys.n)
+	for ci, v := range syms {
+		vals[ci] = d.values[v]
+		sys.known[ci] = vals[ci] != nil
+	}
+	p := eliminate(sys)
+	if !p.full() {
+		d.needMore = deficitWait(unknown - p.rank)
+		return
+	}
+	rhs := make([][]byte, len(rows))
+	for r, id := range rows {
+		e := &d.eqs[id]
+		if id >= int32(s) && !e.virtual() {
+			for _, nb := range d.nbs[e.nb0:e.nb1] {
+				if v := d.values[nb]; v != nil {
+					gf.XORSlice(e.data, v)
+				}
+			}
+		}
+		rhs[r] = e.data // nil for a static equation
+	}
+	p.solve(rhs, vals, d.c.packetLen, d.alloc)
+	for ci, v := range syms {
+		d.values[v] = vals[ci]
+	}
+	d.left = 0
+	d.complete()
 }
 
 // deficitWait converts a rank deficit into the progress units to wait
-// before the next elimination attempt. The floor adds hysteresis: a
-// deficit of 1-2 would otherwise trigger a full (and likely still
-// deficient) rebuild on nearly every subsequent packet.
+// before the next endgame attempt. The floor adds hysteresis: a deficit of
+// 1-2 would otherwise trigger a full (and likely still deficient) rebuild
+// on nearly every subsequent packet.
 func deficitWait(deficit int) int {
 	if deficit < 8 {
 		return 8
@@ -545,21 +565,62 @@ func deficitWait(deficit int) int {
 	return deficit
 }
 
-// finish drops the equation state; values (some arena-backed) survive
-// for Source.
-func (d *Decoder) finish() {
+// complete finishes the decode: for a systematic code, every source that
+// was not received is rebuilt from its virtual row over the solved
+// intermediates. Then the intermediates and the equation state are
+// dropped; only the source output survives for Source.
+func (d *Decoder) complete() {
 	d.done = true
-	d.srcLeft = 0
+	k := d.c.k
+	if d.src == nil {
+		d.src = d.values[:k]
+	} else if d.held < k {
+		vr := d.c.VirtualRows()
+		for i, s := range d.src {
+			if s != nil {
+				continue
+			}
+			buf := d.srcAlloc()
+			d.nbuf = d.c.NeighborsInto(vr[i], d.nbuf)
+			for n, v := range d.nbuf {
+				if n == 0 {
+					copy(buf, d.intermediate(v))
+				} else {
+					gf.XORSlice(buf, d.intermediate(v))
+				}
+			}
+			d.src[i] = buf
+		}
+	}
+	d.left = 0
+	d.values = nil
 	d.eqs = nil
 	d.relq = nil
 	d.whead = nil
 	d.wnodes = nil
+	d.nbs = nil
 	d.parked = nil
 	d.slab = nil
 	d.free = nil
+	d.srcSlab = nil
 }
 
-// alloc hands out one packet buffer from the slab arena (contents
+// intermediate returns intermediate v once the first k are resolved,
+// computing a still-unresolved check symbol from its static equation.
+func (d *Decoder) intermediate(v int) []byte {
+	if val := d.values[v]; val != nil {
+		return val
+	}
+	val := d.alloc()
+	clear(val)
+	for _, s := range d.c.checks[v-d.c.k] {
+		gf.XORSlice(val, d.values[s])
+	}
+	d.values[v] = val
+	return val
+}
+
+// alloc hands out one packet buffer from the intermediate arena (contents
 // arbitrary — callers copy or clear).
 func (d *Decoder) alloc() []byte {
 	if n := len(d.free); n > 0 {
@@ -567,16 +628,20 @@ func (d *Decoder) alloc() []byte {
 		d.free = d.free[:n-1]
 		return b
 	}
-	pl := d.c.packetLen
-	if len(d.slab) < pl {
-		n := 16 * pl
-		if n < 16384 {
-			n = 16384
-		}
-		d.slab = make([]byte, n)
+	return carve(&d.slab, d.c.packetLen)
+}
+
+// srcAlloc hands out one packet buffer from the source-output arena.
+func (d *Decoder) srcAlloc() []byte { return carve(&d.srcSlab, d.c.packetLen) }
+
+// carve cuts one pl-byte buffer off *slab, refilling it with a fresh slab
+// of at least 16 packets when it runs short.
+func carve(slab *[]byte, pl int) []byte {
+	if len(*slab) < pl {
+		*slab = make([]byte, max(16*pl, 16384))
 	}
-	b := d.slab[:pl:pl]
-	d.slab = d.slab[pl:]
+	b := (*slab)[:pl:pl]
+	*slab = (*slab)[pl:]
 	return b
 }
 
@@ -601,12 +666,12 @@ func (d *Decoder) Received() int { return len(d.seen) }
 
 // Released implements code.ReleaseCounter: the number of coded-equation
 // releases on the peeling path — each one a deferred-XOR event exposing a
-// symbol. Columns the elimination endgame solves are not counted. A
-// receiver of the k systematic packets reports exactly 0.
+// symbol. Columns the endgame solves are not counted. A receiver of the k
+// systematic packets reports exactly 0.
 func (d *Decoder) Released() int { return d.released }
 
 // XORs returns the payload XORSlice count on the peeling path (the
-// elimination endgame's internal row combinations are not included).
+// endgame's solve and the rebuild of missing sources are not included).
 // Zero loss ⇒ zero.
 func (d *Decoder) XORs() int { return d.xors }
 
@@ -615,10 +680,10 @@ func (d *Decoder) Source() ([][]byte, error) {
 	if !d.done {
 		return nil, code.ErrNotReady
 	}
-	for v, val := range d.values[:d.c.k] {
-		if val == nil {
-			return nil, fmt.Errorf("rateless: symbol %d unresolved after completion", v)
+	for i, s := range d.src {
+		if s == nil {
+			return nil, fmt.Errorf("rateless: source %d unresolved after completion", i)
 		}
 	}
-	return d.values[:d.c.k], nil
+	return d.src, nil
 }

@@ -9,10 +9,13 @@ import (
 )
 
 // FuzzRatelessDecode streams a mixed, hostile reception into the engine's
-// decoder under an LT-shaped or a raptor-shaped code: valid packets from
-// the systematic and repair regions, out-of-range indices, wrong-length
-// payloads, repeats, and Adds after completion, then a clean tail so the
-// decode finishes. Invariants after every Add:
+// decoder under an LT-shaped or a pre-inverted raptor-shaped code: valid
+// packets from the systematic and repair regions, out-of-range indices,
+// wrong-length payloads, repeats, and Adds after completion, then a clean
+// tail so the decode finishes. Under raptor the tail interleaves the
+// systematic prefix, in a seeded order, with repair packets, so held
+// sources, the virtual-row feed and the rebuild of missing sources meet
+// out of order. Invariants after every Add:
 //
 //   - the decoder never panics;
 //   - an Add fails exactly when code.CheckPacket rejects its arguments,
@@ -27,6 +30,7 @@ func FuzzRatelessDecode(f *testing.F) {
 	f.Add(true, int64(-7), uint8(40), []byte{0x80, 0, 0, 3, 5, 6, 7, 1, 1})
 	f.Add(true, int64(1998), uint8(0), []byte{4, 4, 5, 5, 6, 6})
 	f.Add(false, int64(42), uint8(255), []byte{})
+	f.Add(true, int64(5), uint8(63), []byte{1, 200, 0, 0, 3, 0, 0, 1, 0, 2, 9, 0})
 	f.Fuzz(func(t *testing.T, raptorShaped bool, seed int64, kRaw uint8, ops []byte) {
 		const pl = 8
 		k := int(kRaw)%64 + 1
@@ -105,11 +109,19 @@ func FuzzRatelessDecode(f *testing.F) {
 				last = idx
 			}
 		}
+		var sys []int // systematic indices, seeded order (raptor only)
+		if raptorShaped {
+			sys = rng.Perm(k)
+		}
 		for i := 0; !dec.Done(); i++ {
 			if i > 8*k+256 {
 				t.Fatalf("%s k=%d: not done after %d clean packets (received %d)", name, k, i, dec.Received())
 			}
-			add(1<<20+i, encode(1<<20+i))
+			idx := 1<<20 + i
+			if i%2 == 1 && i/2 < len(sys) {
+				idx = sys[i/2]
+			}
+			add(idx, encode(idx))
 		}
 		add(last, encode(last)) // after completion
 		add(-1, make([]byte, pl))

@@ -8,19 +8,23 @@
 //     no systematic prefix: every encoding packet is a robust-soliton XOR of
 //     source packets;
 //   - internal/raptor is the engine with L = k+s, the s precode check
-//     equations as static equations, and a systematic prefix of k: packet
-//     i < k is source packet i.
+//     equations as static equations, and a pre-inverted systematic prefix
+//     of k: packet i < k is source packet i, and source i is itself an LT
+//     row over the intermediates (its *virtual row*), so every packet a
+//     receiver catches is an equation of one well-formed code.
 //
 // The engine owns everything derived per encoding index — the splitmix
 // stream, the degree draw, the rejection-sampled neighbor set, the encoder
-// loop — and the peeling decoder (decoder.go). Codec packages supply only
-// data: the degree CDF and the static equations.
+// loop — the choice of virtual rows, the inactivation solver (solve.go)
+// and the peeling decoder (decoder.go). Codec packages supply only data:
+// the degree CDF and the static equations.
 package rateless
 
 import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync"
 
 	"repro/internal/code"
 	"repro/internal/gf"
@@ -48,7 +52,18 @@ type Code struct {
 	// staticDeg[j] is static equation j's initial unknown count:
 	// len(checks[j]) + 1 (its sources plus its own check symbol).
 	staticDeg []int32
+
+	// vrows[i] is source i's virtual row (systematic codes only), chosen
+	// on first use: sessions and receivers that never need the mapping
+	// never pay for it.
+	vrowOnce sync.Once
+	vrows    []uint32
 }
+
+// VirtualBase is the first virtual row index. Virtual rows live in the half
+// of the index space that is never valid on the wire (every wire index is
+// below code.UnboundedN = 2^31-1), so they can never collide with a packet.
+const VirtualBase = 1 << 31
 
 // New builds the engine for k source packets of packetLen bytes. The
 // first sys encoding indices are systematic (0 or k); cdf is the degree
@@ -143,8 +158,11 @@ func (c *Code) Degree(index uint32) int {
 
 // NeighborsInto writes encoding packet index's neighbor set over the
 // intermediate symbols [0, L) into buf (reused if capacity allows) and
-// returns it. A systematic index is its own singleton. The set is
-// deterministic in (seed, index, L), duplicate-free, and in range.
+// returns it. A systematic index reports its own singleton — the packet IS
+// source packet index, whose equation over the intermediates is its
+// virtual row (VirtualRows). The set is deterministic in (seed, index, L),
+// duplicate-free, and in range; indices at or above VirtualBase draw
+// virtual rows.
 func (c *Code) NeighborsInto(index uint32, buf []int) []int {
 	buf = buf[:0]
 	if int64(index) < int64(c.sys) {
@@ -193,11 +211,155 @@ func (c *Code) NeighborsInto(index uint32, buf []int) []int {
 	return buf
 }
 
+// VirtualRows returns, per source packet i of a systematic code, the row
+// index (>= VirtualBase) whose neighbor set defines it:
+//
+//	source i = ⊕ intermediate v, v ∈ NeighborsInto(VirtualRows()[i]).
+//
+// Candidates are drawn with the ordinary sampler at VirtualBase+j for j =
+// 0, 1, 2, ...; a candidate is kept only while it is linearly independent
+// of the static equations and of the other kept candidates, and the choice
+// stops at k rows. It is deterministic in (k, seed, degree CDF, static
+// equations), so sender and receivers derive it independently. Computed
+// once, on first use; nil for a code without a systematic prefix.
+func (c *Code) VirtualRows() []uint32 {
+	c.vrowOnce.Do(func() {
+		if c.sys > 0 {
+			c.vrows = c.chooseVirtualRows()
+		}
+	})
+	return c.vrows
+}
+
+// chooseVirtualRows picks the k virtual rows greedily: draw by draw, a
+// candidate is kept when it is independent of the static equations and
+// the candidates kept before it. The first k draws are settled by one
+// elimination of the whole system — the drops of the in-order greedy are
+// the last-in-order basis of the rows' dependencies — and every later draw
+// is tested against the null space of the rows kept so far, which shrinks
+// by one dimension per kept draw. Structure only: no payload is touched.
+func (c *Code) chooseVirtualRows() []uint32 {
+	k, s := c.k, len(c.checks)
+	rows := make([]uint32, k)
+	for i := range rows {
+		rows[i] = VirtualBase + uint32(i)
+	}
+	p := eliminate(c.system(rows))
+	if p.full() {
+		return rows
+	}
+	deps := p.dependencies()
+	drop := make([]bool, k)
+	for r := s + k - 1; r >= s && len(deps) > 0; r-- {
+		h := -1
+		for q, y := range deps {
+			if getBit(y, r) {
+				h = q
+				break
+			}
+		}
+		if h < 0 {
+			continue
+		}
+		drop[r-s] = true
+		y := deps[h]
+		deps = append(deps[:h], deps[h+1:]...)
+		for _, o := range deps {
+			if getBit(o, r) {
+				for i := range o {
+					o[i] ^= y[i]
+				}
+			}
+		}
+	}
+	kept := rows[:0]
+	for i, idx := range rows {
+		if !drop[i] {
+			kept = append(kept, idx)
+		}
+	}
+	z := p.nullSpace()
+	odd := make([]bool, len(z))
+	var nbuf []int
+	for next := uint32(VirtualBase + k); len(z) > 0; next++ {
+		nbuf = c.NeighborsInto(next, nbuf)
+		h := -1
+		for q, zq := range z {
+			n := 0
+			for _, nb := range nbuf {
+				if getBit(zq, nb) {
+					n++
+				}
+			}
+			if odd[q] = n&1 == 1; odd[q] && h < 0 {
+				h = q
+			}
+		}
+		if h < 0 {
+			continue // in the span of the rows kept so far
+		}
+		kept = append(kept, next)
+		for q, zq := range z {
+			if q != h && odd[q] {
+				for i := range zq {
+					zq[i] ^= z[h][i]
+				}
+			}
+		}
+		z = append(z[:h], z[h+1:]...)
+	}
+	return kept
+}
+
+// system returns the sparse system of the static equations followed by
+// the neighbor sets of rows, over the L intermediates.
+func (c *Code) system(rows []uint32) *system {
+	sys := newSystem(c.l, len(c.checks)+len(rows), 8*c.l)
+	for j, srcs := range c.checks {
+		sys.cols = append(sys.cols, srcs...)
+		sys.cols = append(sys.cols, int32(c.k+j))
+		sys.endRow()
+	}
+	var nbuf []int
+	for _, idx := range rows {
+		nbuf = c.NeighborsInto(idx, nbuf)
+		for _, nb := range nbuf {
+			sys.cols = append(sys.cols, int32(nb))
+		}
+		sys.endRow()
+	}
+	return sys
+}
+
+// SolveIntermediates returns the L intermediate symbols of source block
+// src for a systematic code: the unique values that satisfy every static
+// equation and reproduce source i through virtual row i. One sparse solve
+// with inactivation; the result is freshly allocated in one block.
+func (c *Code) SolveIntermediates(src [][]byte) [][]byte {
+	p := eliminate(c.system(c.VirtualRows()))
+	if !p.full() {
+		// VirtualRows guarantees full rank; anything else is an engine bug.
+		panic(fmt.Sprintf("rateless: intermediate system has rank %d < %d", p.rank, c.l))
+	}
+	rhs := make([][]byte, len(c.checks), c.l) // static rows: zero payload
+	rhs = append(rhs, src...)
+	pl := c.packetLen
+	store := make([]byte, c.l*pl)
+	inter := make([][]byte, c.l)
+	p.solve(rhs, inter, pl, func() []byte {
+		b := store[:pl:pl]
+		store = store[pl:]
+		return b
+	})
+	return inter
+}
+
 // EncodeRange returns encoding packets [lo, hi). Systematic entries alias
 // src (zero copies, zero XOR); the others are freshly allocated XORs over
 // the intermediate symbols. precode expands src into those L symbols; it
 // is called only when the range holds a coded packet, and may be nil when
-// L = k, where the intermediates are src itself.
+// L = k without a systematic prefix, where the intermediates are src
+// itself.
 func (c *Code) EncodeRange(src [][]byte, lo, hi int, precode func([][]byte) [][]byte) ([][]byte, error) {
 	if err := code.CheckSrc(src, c.k, c.packetLen); err != nil {
 		return nil, err

@@ -413,8 +413,16 @@ func (s *Service) Remove(id uint16) error {
 		return fmt.Errorf("service: unknown session %#x", id)
 	}
 	s.sched.remove(e)
-	s.cache.Drop(e.sess)
+	s.release(e)
 	return nil
+}
+
+// release frees what the service holds for a session it no longer
+// carries: its cached blocks and the codec's cached encoder state. Adding
+// the session again re-derives both, bit-identically.
+func (s *Service) release(e *entry) {
+	s.cache.Drop(e.sess)
+	e.sess.ReleaseEncoder()
 }
 
 // Lookup returns the control descriptor of one session.
@@ -554,17 +562,23 @@ func (s *Service) Drain() {
 // Draining reports whether Drain has begun.
 func (s *Service) Draining() bool { return s.draining.Load() }
 
-// Close stops the scheduler and waits for every shard worker to exit. The
-// service cannot be reused afterwards.
+// Close stops the scheduler, waits for every shard worker to exit, and
+// releases every session's cached state as Remove does. The service cannot
+// be reused afterwards.
 func (s *Service) Close() {
 	s.mu.Lock()
 	s.closed = true
-	for id := range s.sessions {
+	entries := make([]*entry, 0, len(s.sessions))
+	for id, e := range s.sessions {
+		entries = append(entries, e)
 		delete(s.sessions, id)
 	}
 	s.mu.Unlock()
 	s.cancel()
 	for _, sh := range s.sched.shards {
 		<-sh.done
+	}
+	for _, e := range entries {
+		s.release(e)
 	}
 }
