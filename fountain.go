@@ -159,15 +159,15 @@ func DefaultConfig() Config { return core.DefaultConfig() }
 func NewSession(data []byte, cfg Config) (*Session, error) { return core.NewSession(data, cfg) }
 
 // BlockCache is a shared byte-bounded cache of lazily encoded repair
-// blocks: hand one cache to every NewSessionCached call so a server holding
+// packets: hand one cache to every NewSessionCached call so a server holding
 // many files keeps its repair-packet memory under a single budget.
 type BlockCache = core.BlockCache
 
 // NewBlockCache creates a block cache with the given byte budget.
 func NewBlockCache(capBytes int64) *BlockCache { return core.NewBlockCache(capBytes) }
 
-// NewSessionCached builds a session that encodes repair blocks on first
-// carousel touch, bounded by the shared cache. Codecs without per-range
+// NewSessionCached builds a session that encodes each repair packet when
+// it is sent, bounded by the shared cache. Codecs without per-range
 // encoding (Tornado) fall back to eager encoding.
 func NewSessionCached(data []byte, cfg Config, cache *BlockCache) (*Session, error) {
 	return core.NewSessionCached(data, cfg, cache)

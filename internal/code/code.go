@@ -45,8 +45,8 @@ type Codec interface {
 //
 // A fountain server uses this to keep many large sessions resident at
 // once: instead of holding the full stretch-factor-n encoding per file, it
-// encodes blocks of packet indices on first touch behind a bounded cache
-// (see core.BlockCache). Tornado codes do not implement RangeEncoder —
+// encodes each packet when it is sent, behind a bounded cache (see
+// core.BlockCache). Tornado codes do not implement RangeEncoder —
 // their cascade checks are computed jointly — and fall back to eager
 // encoding.
 type RangeEncoder interface {

@@ -5,27 +5,29 @@ import (
 	"sync"
 )
 
-// BlockCache is a shared, byte-bounded LRU cache of lazily encoded packet
-// blocks. One cache serves many sessions: a fountain service hands the same
-// BlockCache to every NewSessionCached call, so the total memory spent on
-// repair packets across all resident files stays under one budget instead
-// of each session materializing its full stretch-factor-n encoding.
+// BlockCache is a shared, byte-bounded LRU cache of lazily encoded repair
+// packets. One cache serves many sessions: a fountain service hands the
+// same BlockCache to every NewSessionCached call, so the total memory spent
+// on repair packets across all resident files stays under one budget
+// instead of each session materializing its full stretch-factor-n
+// encoding.
 //
-// Only bytes that are not aliases of a session's source packets are charged
-// against the budget (source entries returned by EncodeRange alias the
-// session's file buffer and cost nothing extra). The budget is a high-water
-// mark for charged bytes: eviction runs at insert time, and the one block
-// being inserted is always retained even if it alone exceeds the cap.
+// Entries are single packets keyed by (session, encoding index). Source
+// packets never enter the cache — they alias the session's resident file
+// buffer — so every resident byte is charged against the budget. The
+// budget is a high-water mark for charged bytes: eviction runs at insert
+// time, and the one packet being inserted is always retained even if it
+// alone exceeds the cap.
 //
-// All methods are safe for concurrent use. Racing fills of the same block
-// may encode it twice; the loser's work is discarded (the schedules are
+// All methods are safe for concurrent use. Racing misses on the same
+// packet may encode it twice; the loser's work is discarded (encoding is
 // deterministic, so both copies are identical).
 type BlockCache struct {
 	mu           sync.Mutex
 	cap          int64
 	used         int64
 	peak         int64
-	lookups      uint64 // combined get2 probes; invariant: hits + misses == lookups
+	lookups      uint64 // get probes; invariant: hits + misses == lookups
 	hits         uint64
 	misses       uint64
 	evictions    uint64     // entries removed to restore the budget (not Drop)
@@ -36,17 +38,16 @@ type BlockCache struct {
 
 type cacheKey struct {
 	owner *Session
-	block int
+	idx   int
 }
 
 type cacheEntry struct {
-	key   cacheKey
-	pkts  [][]byte
-	bytes int64 // charged (non-aliased) bytes
+	key cacheKey
+	pkt []byte
 }
 
 // NewBlockCache creates a cache with the given byte budget. capBytes <= 0
-// means "cache nothing beyond the block currently in use" (every insert
+// means "cache nothing beyond the packet currently in use" (every insert
 // immediately evicts everything else) — still correct, maximally frugal.
 func NewBlockCache(capBytes int64) *BlockCache {
 	return &BlockCache{cap: capBytes, ll: list.New(), entries: make(map[cacheKey]*list.Element)}
@@ -69,7 +70,7 @@ func (c *BlockCache) Peak() int64 {
 	return c.peak
 }
 
-// Stats returns (hits, misses) of block lookups.
+// Stats returns (hits, misses) of packet lookups.
 func (c *BlockCache) Stats() (hits, misses uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -80,7 +81,7 @@ func (c *BlockCache) Stats() (hits, misses uint64) {
 // one lock acquisition so the invariant Hits+Misses == Lookups holds in
 // every snapshot even while other goroutines probe concurrently.
 type CacheStats struct {
-	Lookups      uint64 // combined get2 probes (one per Payload cache path)
+	Lookups      uint64 // get probes (one per lazily sent repair packet)
 	Hits         uint64
 	Misses       uint64
 	Evictions    uint64 // entries evicted to restore the byte budget
@@ -88,12 +89,11 @@ type CacheStats struct {
 	Used         int64  // currently charged bytes
 	Peak         int64  // high-water mark of charged bytes
 	Cap          int64  // configured budget
-	Entries      int    // resident blocks
+	Entries      int    // resident packets
 }
 
 // StatsSnapshot returns the full accounting picture. Each lookup counts
-// exactly one hit or one miss — a combined primary/secondary probe is one
-// lookup, never two — so Hits+Misses == Lookups always.
+// exactly one hit or one miss, so Hits+Misses == Lookups always.
 func (c *BlockCache) StatsSnapshot() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -110,68 +110,64 @@ func (c *BlockCache) StatsSnapshot() CacheStats {
 	}
 }
 
-// get2 returns the cached run under the primary key, else the secondary
-// key (fromPrimary reports which), else nil — counting exactly one hit or
-// miss for the combined probe.
-func (c *BlockCache) get2(owner *Session, primary, secondary int) (pkts [][]byte, fromPrimary bool) {
+// get returns the cached packet idx of owner, or nil, counting exactly one
+// hit or miss.
+func (c *BlockCache) get(owner *Session, idx int) []byte {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.lookups++
-	if el, ok := c.entries[cacheKey{owner, primary}]; ok {
+	if el, ok := c.entries[cacheKey{owner, idx}]; ok {
 		c.hits++
 		c.ll.MoveToFront(el)
-		return el.Value.(*cacheEntry).pkts, true
-	}
-	if el, ok := c.entries[cacheKey{owner, secondary}]; ok {
-		c.hits++
-		c.ll.MoveToFront(el)
-		return el.Value.(*cacheEntry).pkts, false
+		return el.Value.(*cacheEntry).pkt
 	}
 	c.misses++
-	return nil, false
+	return nil
 }
 
-// put inserts a filled block and evicts least-recently-used blocks until the
-// budget holds (never evicting the block just inserted). If a racing fill
-// already inserted the same key, the existing entry wins and is returned.
-func (c *BlockCache) put(owner *Session, block int, pkts [][]byte, bytes int64) [][]byte {
+// put inserts an encoded packet and evicts least-recently-used packets
+// until the budget holds (never evicting the packet just inserted). If a
+// racing miss already inserted the same key, the existing entry wins and
+// is returned.
+func (c *BlockCache) put(owner *Session, idx int, pkt []byte) []byte {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	key := cacheKey{owner, block}
+	key := cacheKey{owner, idx}
 	if el, ok := c.entries[key]; ok {
 		c.ll.MoveToFront(el)
-		return el.Value.(*cacheEntry).pkts
+		return el.Value.(*cacheEntry).pkt
 	}
-	el := c.ll.PushFront(&cacheEntry{key: key, pkts: pkts, bytes: bytes})
-	c.entries[key] = el
-	c.used += bytes
+	c.entries[key] = c.ll.PushFront(&cacheEntry{key: key, pkt: pkt})
+	c.used += int64(len(pkt))
 	if c.used > c.peak {
 		c.peak = c.used
 	}
 	for c.used > c.cap && c.ll.Len() > 1 {
-		back := c.ll.Back()
-		ent := back.Value.(*cacheEntry)
-		c.ll.Remove(back)
-		delete(c.entries, ent.key)
-		c.used -= ent.bytes
+		n := c.remove(c.ll.Back())
 		c.evictions++
-		c.evictedBytes += uint64(ent.bytes)
+		c.evictedBytes += uint64(n)
 	}
-	return pkts
+	return pkt
 }
 
-// Drop removes every block owned by the session (used when a service
+// remove unlinks one entry and returns its charged bytes; callers hold mu.
+func (c *BlockCache) remove(el *list.Element) int64 {
+	ent := c.ll.Remove(el).(*cacheEntry)
+	delete(c.entries, ent.key)
+	n := int64(len(ent.pkt))
+	c.used -= n
+	return n
+}
+
+// Drop removes every packet owned by the session (used when a service
 // unregisters a session).
 func (c *BlockCache) Drop(owner *Session) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for el := c.ll.Front(); el != nil; {
 		next := el.Next()
-		ent := el.Value.(*cacheEntry)
-		if ent.key.owner == owner {
-			c.ll.Remove(el)
-			delete(c.entries, ent.key)
-			c.used -= ent.bytes
+		if el.Value.(*cacheEntry).key.owner == owner {
+			c.remove(el)
 		}
 		el = next
 	}

@@ -18,7 +18,6 @@ func lazySessionForCache(t *testing.T, cache *BlockCache, seed int64) (*Session,
 	cfg.Codec = proto.CodecCauchy
 	cfg.Layers = 1
 	cfg.PacketLen = 500
-	cfg.LazyBlock = 8
 	cfg.Seed = seed
 	lazy, err := NewSessionCached(data, cfg, cache)
 	if err != nil {
@@ -35,13 +34,13 @@ func lazySessionForCache(t *testing.T, cache *BlockCache, seed int64) (*Session,
 }
 
 // TestBlockCacheBudgetUnderConcurrency: with many goroutines hammering
-// Get/Put through Session.Payload on two sessions sharing one cache, the
+// get/put through Session.Payload on two sessions sharing one cache, the
 // charged byte count observable from outside must never exceed the budget
 // (eviction runs inside the same critical section as the insert), and the
-// recorded peak may overshoot by at most one in-flight block.
+// recorded peak may overshoot by at most one in-flight packet.
 func TestBlockCacheBudgetUnderConcurrency(t *testing.T) {
-	blockBytes := int64(8 * PadPacketLen(500))
-	capBytes := 4 * blockBytes
+	pktBytes := int64(PadPacketLen(500))
+	capBytes := 32 * pktBytes
 	cache := NewBlockCache(capBytes)
 	s1, e1 := lazySessionForCache(t, cache, 101)
 	s2, e2 := lazySessionForCache(t, cache, 102)
@@ -101,16 +100,16 @@ func TestBlockCacheBudgetUnderConcurrency(t *testing.T) {
 		t.Fatalf("final used %d > cap %d", used, capBytes)
 	}
 	// Peak is recorded before the same-lock eviction, so it may exceed the
-	// budget by at most one block insertion.
-	if peak := cache.Peak(); peak > capBytes+blockBytes {
-		t.Fatalf("peak %d blew past cap %d + one block %d", peak, capBytes, blockBytes)
+	// budget by at most one packet insertion.
+	if peak := cache.Peak(); peak > capBytes+pktBytes {
+		t.Fatalf("peak %d blew past cap %d + one packet %d", peak, capBytes, pktBytes)
 	}
 	hits, misses := cache.Stats()
 	if hits == 0 || misses == 0 {
 		t.Fatalf("degenerate traffic: hits=%d misses=%d", hits, misses)
 	}
-	// One combined probe = exactly one hit or one miss, even under
-	// concurrency: the counts must tie out against the lookup count.
+	// One probe = exactly one hit or one miss, even under concurrency: the
+	// counts must tie out against the lookup count.
 	st := cache.StatsSnapshot()
 	if st.Hits+st.Misses != st.Lookups {
 		t.Fatalf("probe accounting broken: hits %d + misses %d != lookups %d",
@@ -119,26 +118,23 @@ func TestBlockCacheBudgetUnderConcurrency(t *testing.T) {
 }
 
 // TestBlockCacheLookupAndEvictionAccounting: a deterministic probe
-// sequence against a one-block budget where every count is known in
+// sequence against a one-packet budget where every count is known in
 // advance — each Payload on the repair region is exactly one lookup and
-// one hit-or-miss (a combined primary/secondary probe must never count as
-// two events), and each new block insert past the first evicts exactly the
+// one hit-or-miss, and each insert past the first evicts exactly the
 // previous resident.
 func TestBlockCacheLookupAndEvictionAccounting(t *testing.T) {
-	blockBytes := int64(8 * PadPacketLen(500))
-	cache := NewBlockCache(blockBytes) // room for exactly one full block
+	pkt := int64(PadPacketLen(500))
+	cache := NewBlockCache(pkt) // room for exactly one packet
 	sess, eager := lazySessionForCache(t, cache, 104)
 	k := sess.Codec().K()
-	blockPkts := sess.Config().LazyBlock
 
-	firstRepairBlock := (k + blockPkts - 1) / blockPkts // first all-repair block
-	const nBlocks = 4
+	const nPkts = 4
 	probes := 0
 	for round := 0; round < 2; round++ {
-		for b := 0; b < nBlocks; b++ {
-			idx := (firstRepairBlock + b) * blockPkts
+		for i := 0; i < nPkts; i++ {
+			idx := k + 3*i
 			if !bytes.Equal(sess.Payload(idx), eager.Payload(idx)) {
-				t.Fatalf("block %d payload mismatch", b)
+				t.Fatalf("packet %d payload mismatch", idx)
 			}
 			probes++
 		}
@@ -151,33 +147,25 @@ func TestBlockCacheLookupAndEvictionAccounting(t *testing.T) {
 	if st.Hits+st.Misses != st.Lookups {
 		t.Fatalf("hits %d + misses %d != lookups %d", st.Hits, st.Misses, st.Lookups)
 	}
-	// Cycling 4 distinct blocks through a 1-block cache: every probe
-	// misses (the block touched 4 probes ago is long evicted). Eviction
-	// count is exact: round one's full-block fills each displace their
-	// predecessor (3 evictions), round two's first re-touch is a
-	// single-packet refill whose insert displaces the last full block
-	// (1 more); the remaining refills fit inside the freed budget. So all
-	// 4 full blocks — and nothing else — get evicted.
+	// Cycling 4 distinct packets through a 1-packet cache: every probe
+	// misses, and every insert but the first displaces its predecessor.
 	if st.Misses != uint64(probes) || st.Hits != 0 {
 		t.Fatalf("cycling working set should always miss: hits=%d misses=%d", st.Hits, st.Misses)
 	}
-	if st.Evictions != nBlocks {
-		t.Fatalf("evictions = %d, want %d (each full block displaced exactly once)",
-			st.Evictions, nBlocks)
+	if st.Evictions != uint64(probes-1) {
+		t.Fatalf("evictions = %d, want %d (each insert displaces the resident packet)",
+			st.Evictions, probes-1)
 	}
-	if st.EvictedBytes != nBlocks*uint64(blockBytes) {
-		t.Fatalf("evicted bytes = %d, want %d", st.EvictedBytes, nBlocks*uint64(blockBytes))
+	if st.EvictedBytes != uint64(probes-1)*uint64(pkt) {
+		t.Fatalf("evicted bytes = %d, want %d", st.EvictedBytes, uint64(probes-1)*uint64(pkt))
 	}
-	pkt := int64(PadPacketLen(500))
-	if st.Entries != nBlocks || st.Used != nBlocks*pkt {
-		t.Fatalf("resident = %d entries / %d bytes, want %d single-packet refills (%d bytes)",
-			st.Entries, st.Used, nBlocks, nBlocks*pkt)
+	if st.Entries != 1 || st.Used != pkt {
+		t.Fatalf("resident = %d entries / %d bytes, want 1 packet (%d bytes)", st.Entries, st.Used, pkt)
 	}
 
-	// An immediate re-touch of the resident block is the one guaranteed
+	// An immediate re-touch of the resident packet is the one guaranteed
 	// hit; the counters must move by exactly (1 lookup, 1 hit, 0 misses).
-	idx := (firstRepairBlock + nBlocks - 1) * blockPkts
-	sess.Payload(idx)
+	sess.Payload(k + 3*(nPkts-1))
 	st2 := cache.StatsSnapshot()
 	if st2.Lookups != st.Lookups+1 || st2.Hits != st.Hits+1 || st2.Misses != st.Misses {
 		t.Fatalf("hit accounting: lookups %d→%d hits %d→%d misses %d→%d",
@@ -185,60 +173,53 @@ func TestBlockCacheLookupAndEvictionAccounting(t *testing.T) {
 	}
 }
 
-// TestBlockCacheSinglePacketRefill: after a block's first full fill is
-// evicted, re-touching one of its packets must take the single-packet
-// refill path (one packet encoded and cached, not the whole block), and an
-// immediate second touch of that packet must hit the refill entry.
+// TestBlockCacheSinglePacketRefill: a miss encodes and charges exactly the
+// packet asked for; after that packet is evicted, re-touching it encodes
+// it again — identical to its first encoding — and an immediate second
+// touch hits.
 func TestBlockCacheSinglePacketRefill(t *testing.T) {
-	blockBytes := int64(8 * PadPacketLen(500))
-	cache := NewBlockCache(2 * blockBytes)
+	pkt := int64(PadPacketLen(500))
+	cache := NewBlockCache(2 * pkt)
 	sess, eager := lazySessionForCache(t, cache, 103)
 	k, n := sess.Codec().K(), sess.Codec().N()
-	blockPkts := sess.Config().LazyBlock
 
-	// First touch of a repair block: full-block fill (one miss).
 	first := k + (n-k)/2
-	first -= first % blockPkts // block-aligned repair index
-	if !bytes.Equal(sess.Payload(first), eager.Payload(first)) {
-		t.Fatal("first fill returned wrong payload")
+	firstEnc := append([]byte(nil), sess.Payload(first)...)
+	if !bytes.Equal(firstEnc, eager.Payload(first)) {
+		t.Fatal("first encoding returned wrong payload")
 	}
-	_, missesAfterFill := cache.Stats()
+	if st := cache.StatsSnapshot(); st.Misses != 1 || st.Used != pkt || st.Entries != 1 {
+		t.Fatalf("first miss: %d misses, %d bytes in %d entries; want 1 packet", st.Misses, st.Used, st.Entries)
+	}
 
-	// Evict it by filling the 2-block budget with later blocks.
-	for idx := first + blockPkts; idx < n && idx < first+4*blockPkts; idx += blockPkts {
+	// Evict it by filling the 2-packet budget with its neighbours.
+	for idx := first + 1; idx <= first+2; idx++ {
 		sess.Payload(idx)
 	}
-	if used := cache.Used(); used > 2*blockBytes {
-		t.Fatalf("used %d > cap %d", used, 2*blockBytes)
+	if used := cache.Used(); used > 2*pkt {
+		t.Fatalf("used %d > cap %d", used, 2*pkt)
 	}
 
-	// Re-touch: the block was already filled once, so only this packet is
-	// encoded (a miss), charged as a single-packet entry.
-	usedBefore := cache.Used()
-	if !bytes.Equal(sess.Payload(first), eager.Payload(first)) {
-		t.Fatal("post-eviction refill returned wrong payload")
+	// Re-touch: one miss, one packet encoded, and the budget still holds.
+	_, missesBefore := cache.Stats()
+	if !bytes.Equal(sess.Payload(first), firstEnc) {
+		t.Fatal("re-encoded packet differs from its first encoding")
 	}
-	_, missesAfterRefill := cache.Stats()
-	if missesAfterRefill != missesAfterFill+4 { // 3 evictor blocks + this refill
-		t.Fatalf("miss count %d, want %d", missesAfterRefill, missesAfterFill+4)
+	if _, misses := cache.Stats(); misses != missesBefore+1 {
+		t.Fatalf("re-touch after eviction: misses %d→%d, want one more", missesBefore, misses)
 	}
-	// The refill charges one packet; the insert may evict an LRU full
-	// block to stay under budget, so net growth is at most one packet
-	// (and possibly negative).
-	growth := cache.Used() - usedBefore
-	pkt := int64(PadPacketLen(500))
-	if growth > pkt {
-		t.Fatalf("refill grew cache by %d bytes, want one packet (%d) at most — whole block re-encoded?", growth, pkt)
+	if used := cache.Used(); used > 2*pkt {
+		t.Fatalf("used %d > cap %d after the refill", used, 2*pkt)
 	}
 
-	// Second touch must hit the single-packet entry: no new miss.
+	// Second touch must hit the entry: no new miss.
 	hitsBefore, missesBefore := cache.Stats()
-	if !bytes.Equal(sess.Payload(first), eager.Payload(first)) {
-		t.Fatal("refill hit returned wrong payload")
+	if !bytes.Equal(sess.Payload(first), firstEnc) {
+		t.Fatal("cache hit returned wrong payload")
 	}
 	hitsAfter, missesAfter := cache.Stats()
 	if missesAfter != missesBefore || hitsAfter != hitsBefore+1 {
-		t.Fatalf("refill entry not hit: hits %d→%d misses %d→%d",
+		t.Fatalf("entry not hit: hits %d→%d misses %d→%d",
 			hitsBefore, hitsAfter, missesBefore, missesAfter)
 	}
 }

@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 
 	"repro/internal/code"
 	"repro/internal/interleave"
@@ -39,10 +38,6 @@ type Config struct {
 	Session    uint16
 	// InterleaveBlockK is the per-block k when Codec is CodecInterleaved.
 	InterleaveBlockK int
-	// LazyBlock is the number of encoding packets per lazily encoded cache
-	// block when the session is built with NewSessionCached (0 = 64). It
-	// has no effect on eager sessions.
-	LazyBlock int
 	// LTC and LTDelta tune the robust soliton degree distribution when
 	// Codec is CodecLT (<= 0 selects the lt package defaults). They are
 	// quantized to millionths for the wire, and the session builds its
@@ -79,11 +74,11 @@ func DefaultConfig() Config {
 //
 // A session is either eager — the full stretch-factor-n encoding is
 // materialized at construction, as the one-session prototype did — or lazy:
-// only the k source packets are resident, and repair blocks are encoded on
-// first touch behind a shared bounded BlockCache (NewSessionCached). Lazy
-// sessions require the codec to implement code.RangeEncoder; codecs that
-// cannot (Tornado's cascade checks are computed jointly) fall back to eager
-// encoding.
+// only the k source packets are resident, and each repair packet is encoded
+// when it is sent, behind a shared bounded BlockCache (NewSessionCached).
+// Lazy sessions require the codec to implement code.RangeEncoder; codecs
+// that cannot (Tornado's cascade checks are computed jointly) fall back to
+// eager encoding.
 type Session struct {
 	cfg      Config
 	codec    code.Codec
@@ -102,23 +97,10 @@ type Session struct {
 	rateless bool
 
 	// Lazy-encoding state (nil/zero for eager sessions).
-	src       [][]byte      // the k source packets, aliasing one buffer
-	srcAt     []int32       // encoding idx -> source packet index, -1 for repairs
-	srcHeads  map[*byte]int // first-byte identity of each source packet
-	ranger    code.RangeEncoder
-	cache     *BlockCache
-	blockPkts int
-	nBlocks   int
-
-	// filled marks blocks that have been range-encoded in full once.
-	// After a block is evicted, re-misses encode only the requested
-	// packet: under cache pressure the carousel's randomized order gives
-	// blocks no locality, and re-encoding 64 packets to emit one would
-	// amplify encode work ~64x. With this bound, total lazy encode work
-	// is at most one full materialization plus one packet per post-
-	// eviction miss.
-	fillMu sync.Mutex
-	filled []bool
+	src    [][]byte // the k source packets, aliasing one buffer
+	srcAt  []int32  // encoding idx -> source packet index, -1 for repairs
+	ranger code.RangeEncoder
+	cache  *BlockCache
 }
 
 // buildCodec constructs the codec named by cfg for k source packets.
@@ -199,9 +181,10 @@ func NewSession(data []byte, cfg Config) (*Session, error) {
 }
 
 // NewSessionCached builds a session whose repair packets are encoded
-// lazily, per block, on first carousel touch, with the encoded blocks held
-// in the given shared BlockCache. Pass the same cache to every session of a
-// service so the total repair-packet memory stays under one budget.
+// lazily, one packet at a time when the carousel sends it, with the
+// encoded packets held in the given shared BlockCache. Pass the same cache
+// to every session of a service so the total repair-packet memory stays
+// under one budget.
 //
 // A nil cache, or a codec that does not implement code.RangeEncoder,
 // degrades to eager encoding (full materialization at construction).
@@ -215,9 +198,6 @@ func NewSessionCached(data []byte, cfg Config, cache *BlockCache) (*Session, err
 	cfg.PacketLen = PadPacketLen(cfg.PacketLen)
 	if cfg.SPInterval <= 0 {
 		cfg.SPInterval = 16
-	}
-	if cfg.LazyBlock <= 0 {
-		cfg.LazyBlock = 64
 	}
 	k := code.PacketsFor(len(data), cfg.PacketLen)
 	if k == 0 {
@@ -262,13 +242,6 @@ func NewSessionCached(data []byte, cfg Config, cache *BlockCache) (*Session, err
 		s.src = src
 		s.ranger = ranger
 		s.cache = cache
-		s.blockPkts = cfg.LazyBlock
-		s.nBlocks = (codec.N() + cfg.LazyBlock - 1) / cfg.LazyBlock
-		s.filled = make([]bool, s.nBlocks)
-		s.srcHeads = make(map[*byte]int, len(src))
-		for i, p := range src {
-			s.srcHeads[&p[0]] = i
-		}
 		// Source packets are always resident, so their sends must not
 		// touch the shared cache (the only cross-session lock on the data
 		// path). Codecs that are systematic via a mapping rather than a
@@ -296,18 +269,20 @@ func NewSessionCached(data []byte, cfg Config, cache *BlockCache) (*Session, err
 	return s, nil
 }
 
-// Lazy reports whether the session encodes repair blocks on demand.
+// Lazy reports whether the session encodes repair packets on demand.
 func (s *Session) Lazy() bool { return s.enc == nil }
 
 // Rateless reports whether the session's codec has an unbounded index
 // space: its carousel streams fresh monotone indices instead of cycling.
 func (s *Session) Rateless() bool { return s.rateless }
 
-// Payload returns the payload bytes of encoding packet idx. Eager sessions
-// index the materialized encoding; lazy sessions consult the shared block
-// cache, encoding on a miss — the containing block on its first-ever
-// touch, just the single packet after an eviction. The returned slice is
-// shared and must not be modified.
+// Payload returns the payload bytes of encoding packet idx, doing only
+// that packet's work. Eager sessions index the materialized encoding.
+// Lazy sessions return source packets from the resident file buffer; a
+// repair packet comes from the shared cache, keyed by (session, idx), or
+// on a miss is encoded alone and cached. Rateless sessions encode the
+// packet and keep nothing: each index is sent at most once. The returned
+// slice is shared and must not be modified.
 func (s *Session) Payload(idx int) []byte {
 	if s.enc != nil {
 		return s.enc[idx]
@@ -315,62 +290,28 @@ func (s *Session) Payload(idx int) []byte {
 	if s.rateless {
 		// Each index of the monotone stream is emitted at most once;
 		// generate and forget — no cache, no cross-session lock traffic.
-		return s.encodeRange(idx, idx+1)[0]
+		return s.encodeOne(idx)
 	}
 	if f := s.srcAt[idx]; f >= 0 {
 		return s.src[f] // always resident; no cache traffic
 	}
-	block := idx / s.blockPkts
-	lo := block * s.blockPkts
-	// Single-packet refill entries live in the key space above the block
-	// ids; one lookup probes both so the hit/miss counters see one event.
-	if pkts, full := s.cache.get2(s, block, s.nBlocks+idx); pkts != nil {
-		if full {
-			return pkts[idx-lo]
-		}
-		return pkts[0]
+	// The codecs with a finite index space produce each repair packet
+	// independently of its neighbours, so encoding more than the packet
+	// sent would amortize nothing.
+	if p := s.cache.get(s, idx); p != nil {
+		return p
 	}
-	if s.firstFillDone(block) {
-		pkts := s.encodeRange(idx, idx+1)
-		return s.cachePut(s.nBlocks+idx, pkts)[0]
-	}
-	hi := min(lo+s.blockPkts, s.codec.N())
-	pkts := s.encodeRange(lo, hi)
-	return s.cachePut(block, pkts)[idx-lo]
+	return s.cache.put(s, idx, s.encodeOne(idx))
 }
 
-// firstFillDone reports whether the block was already range-encoded in
-// full once, marking it if not (the caller then performs that first fill).
-func (s *Session) firstFillDone(block int) bool {
-	s.fillMu.Lock()
-	defer s.fillMu.Unlock()
-	if s.filled[block] {
-		return true
-	}
-	s.filled[block] = true
-	return false
-}
-
-func (s *Session) encodeRange(lo, hi int) [][]byte {
-	pkts, err := s.ranger.EncodeRange(s.src, lo, hi)
+func (s *Session) encodeOne(idx int) []byte {
+	pkts, err := s.ranger.EncodeRange(s.src, idx, idx+1)
 	if err != nil {
 		// The inputs were validated at construction; a range-encode failure
 		// here is a codec contract violation, not a runtime condition.
-		panic(fmt.Sprintf("core: lazy encode of [%d,%d) failed: %v", lo, hi, err))
+		panic(fmt.Sprintf("core: lazy encode of packet %d failed: %v", idx, err))
 	}
-	return pkts
-}
-
-// cachePut inserts an encoded run under key, charging only bytes that do
-// not alias the source buffer.
-func (s *Session) cachePut(key int, pkts [][]byte) [][]byte {
-	var charged int64
-	for _, p := range pkts {
-		if _, aliased := s.srcHeads[&p[0]]; !aliased {
-			charged += int64(len(p))
-		}
-	}
-	return s.cache.put(s, key, pkts, charged)
+	return pkts[0]
 }
 
 // ReleaseEncoder frees the encoder state the codec caches for this

@@ -13,7 +13,6 @@ func lazyTestConfig(codec uint8) Config {
 	cfg := DefaultConfig()
 	cfg.Codec = codec
 	cfg.Layers = 1
-	cfg.LazyBlock = 16
 	return cfg
 }
 
@@ -41,7 +40,7 @@ func TestLazyMatchesEager(t *testing.T) {
 			t.Fatal("eager session claims lazy")
 		}
 		n := eager.Codec().N()
-		// Touch out of order to exercise block-boundary arithmetic.
+		// Touch out of order: packets must not depend on their neighbours.
 		order := rng.Perm(n)
 		for _, i := range order {
 			if !bytes.Equal(lazy.Payload(i), eager.Payload(i)) {
@@ -58,9 +57,9 @@ func TestLazyMatchesEager(t *testing.T) {
 }
 
 // TestLazyCacheBounded: with a cap far below full materialization, walking
-// the whole carousel repeatedly must keep the cache's peak within one block
-// of the cap — the memory-bounded property the multi-session service relies
-// on.
+// the whole carousel repeatedly must keep the cache's peak within one
+// packet of the cap — the memory-bounded property the multi-session service
+// relies on.
 func TestLazyCacheBounded(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	data := make([]byte, 120_000)
@@ -73,9 +72,9 @@ func TestLazyCacheBounded(t *testing.T) {
 	}
 	n := sess.Codec().N()
 	k := sess.Codec().K()
-	blockBytes := int64(cfg.LazyBlock * PadPacketLen(cfg.PacketLen))
-	fullRepair := int64(n-k) * int64(PadPacketLen(cfg.PacketLen))
-	if cache.Cap()+blockBytes >= fullRepair {
+	pktBytes := int64(PadPacketLen(cfg.PacketLen))
+	fullRepair := int64(n-k) * pktBytes
+	if cache.Cap()+pktBytes >= fullRepair {
 		t.Fatalf("test misconfigured: cap %d not clearly below full materialization %d", cache.Cap(), fullRepair)
 	}
 	for pass := 0; pass < 3; pass++ {
@@ -83,20 +82,22 @@ func TestLazyCacheBounded(t *testing.T) {
 			sess.Payload(i)
 		}
 	}
-	if peak := cache.Peak(); peak > cache.Cap()+blockBytes {
-		t.Fatalf("cache peak %d exceeds cap %d + one block %d", peak, cache.Cap(), blockBytes)
+	if peak := cache.Peak(); peak > cache.Cap()+pktBytes {
+		t.Fatalf("cache peak %d exceeds cap %d + one packet %d", peak, cache.Cap(), pktBytes)
 	}
 	if used := cache.Used(); used > cache.Cap() {
 		t.Fatalf("steady-state cache use %d exceeds cap %d", used, cache.Cap())
 	}
-	hits, misses := cache.Stats()
-	if hits == 0 || misses == 0 {
-		t.Fatalf("expected both hits and misses, got %d/%d", hits, misses)
+	// Three in-order passes over a working set larger than the cap: every
+	// repair packet misses, exactly once per pass, and nothing else does.
+	st := cache.StatsSnapshot()
+	if want := uint64(3 * (n - k)); st.Misses != want || st.Hits != 0 || st.Lookups != want {
+		t.Fatalf("lookups/hits/misses = %d/%d/%d, want %d/0/%d", st.Lookups, st.Hits, st.Misses, want, want)
 	}
 }
 
-// TestLazySourceBytesNotCharged: blocks that lie entirely in the systematic
-// prefix alias the file buffer and must not consume cache budget.
+// TestLazySourceBytesNotCharged: source packets alias the file buffer and
+// must neither consume cache budget nor touch the cache at all.
 func TestLazySourceBytesNotCharged(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	data := make([]byte, 60_000)
@@ -108,12 +109,11 @@ func TestLazySourceBytesNotCharged(t *testing.T) {
 		t.Fatal(err)
 	}
 	k := sess.Codec().K()
-	// Touch only source-prefix blocks.
-	for i := 0; i < k-cfg.LazyBlock; i += cfg.LazyBlock {
+	for i := 0; i < k; i++ {
 		sess.Payload(i)
 	}
-	if used := cache.Used(); used != 0 {
-		t.Fatalf("source-only touches charged %d bytes", used)
+	if st := cache.StatsSnapshot(); st.Used != 0 || st.Lookups != 0 {
+		t.Fatalf("source-only touches charged %d bytes over %d lookups", st.Used, st.Lookups)
 	}
 }
 

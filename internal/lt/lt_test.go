@@ -200,6 +200,55 @@ func TestEncodeRangeBatchingInvariant(t *testing.T) {
 	}
 }
 
+// TestEncodeRangeChecksWhatItReads: a wrong-length source packet that a
+// range reads is an error, never a panic, while a range that does not read
+// it encodes normally — validation costs O(degree) per packet, not O(k).
+func TestEncodeRangeChecksWhatItReads(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	c, err := New(50, 48, 77, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const idx = 4321
+	nbrs := c.NeighborsInto(idx, nil)
+	read := make(map[int]bool, len(nbrs))
+	for _, nb := range nbrs {
+		read[nb] = true
+	}
+	unread := -1
+	for i := 0; i < c.K() && unread < 0; i++ {
+		if !read[i] {
+			unread = i
+		}
+	}
+	if unread < 0 {
+		t.Fatal("test premise broken: packet reads every source")
+	}
+	for _, bad := range [][]byte{nil, make([]byte, 47), make([]byte, 49)} {
+		src := randomSrc(t, rng, 50, 48)
+		src[nbrs[0]] = bad
+		if _, err := c.EncodeRange(src, idx, idx+1); err == nil {
+			t.Fatalf("source %d of length %d read without error", nbrs[0], len(bad))
+		}
+		src = randomSrc(t, rng, 50, 48)
+		want, err := c.EncodeRange(src, idx, idx+1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		src[unread] = bad
+		got, err := c.EncodeRange(src, idx, idx+1)
+		if err != nil {
+			t.Fatalf("unread source %d rejected: %v", unread, err)
+		}
+		if !bytes.Equal(got[0], want[0]) {
+			t.Fatal("packet changed with an unread source")
+		}
+	}
+	if _, err := c.EncodeRange(randomSrc(t, rng, 49, 48), idx, idx+1); err == nil {
+		t.Fatal("short source block accepted")
+	}
+}
+
 func TestEncodeIsUnavailable(t *testing.T) {
 	c, err := New(10, 16, 1, 0, 0)
 	if err != nil {

@@ -231,16 +231,23 @@ func (c *Codec) Intermediates() int { return c.K() + c.Checks() }
 
 // intermediates returns the L intermediate symbols of src, solving for
 // them on a cache miss. Cached per source-slice identity (the resident
-// session block) under encMu.
-func (c *Codec) intermediates(src [][]byte) [][]byte {
+// session block) under encMu. The solve reads every source packet, so the
+// whole block is validated here, once per solve, and never per packet.
+func (c *Codec) intermediates(src [][]byte) ([][]byte, error) {
+	if len(src[0]) != c.PacketLen() { // the cache key below reads src[0][0]
+		return nil, code.CheckSrc(src, c.K(), c.PacketLen())
+	}
 	key := &src[0][0]
 	c.encMu.Lock()
 	defer c.encMu.Unlock()
 	if c.encKey != key {
+		if err := code.CheckSrc(src, c.K(), c.PacketLen()); err != nil {
+			return nil, err
+		}
 		c.inter = c.SolveIntermediates(src)
 		c.encKey = key
 	}
-	return c.inter
+	return c.inter, nil
 }
 
 // ReleaseEncoder drops the cached intermediate symbols. The next repair

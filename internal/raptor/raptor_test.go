@@ -308,3 +308,49 @@ func TestBadInputs(t *testing.T) {
 		t.Fatal("Source before done")
 	}
 }
+
+// TestEncodeRangeBadBlock: raptor validates the whole source block where
+// it solves for the intermediates, so a wrong-length packet anywhere in the
+// block fails every repair packet with an error, never a panic. A
+// systematic packet is checked only for itself.
+func TestEncodeRangeBadBlock(t *testing.T) {
+	const k, pl = 40, 32
+	for _, bad := range []int{0, 17, k - 1} {
+		for _, short := range [][]byte{nil, make([]byte, pl-1), make([]byte, pl+16)} {
+			c := mustNew(t, k, pl, 9)
+			src := testSrc(t, k, pl, 9)
+			src[bad] = short
+			if _, err := c.EncodeRange(src, k+3, k+4); err == nil {
+				t.Fatalf("repair packet encoded from a block with source %d of length %d", bad, len(short))
+			}
+			if _, err := c.EncodeRange(src, bad, bad+1); err == nil {
+				t.Fatalf("systematic packet %d of length %d accepted", bad, len(short))
+			}
+			ok := (bad + 1) % k
+			if got, err := c.EncodeRange(src, ok, ok+1); err != nil || !bytes.Equal(got[0], src[ok]) {
+				t.Fatalf("valid systematic packet %d: %v", ok, err)
+			}
+		}
+	}
+	// The good block still encodes on the same codec after a failed solve.
+	c := mustNew(t, k, pl, 9)
+	src := testSrc(t, k, pl, 9)
+	bad := append([][]byte(nil), src...)
+	bad[5] = nil
+	if _, err := c.EncodeRange(bad, k, k+1); err == nil {
+		t.Fatal("bad block accepted")
+	}
+	want, err := mustNew(t, k, pl, 9).EncodeRange(src, k, k+8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := c.EncodeRange(src, k, k+8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if !bytes.Equal(got[i], want[i]) {
+			t.Fatalf("repair packet %d differs after a failed solve", k+i)
+		}
+	}
+}

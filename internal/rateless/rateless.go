@@ -360,9 +360,15 @@ func (c *Code) SolveIntermediates(src [][]byte) [][]byte {
 // is called only when the range holds a coded packet, and may be nil when
 // L = k without a systematic prefix, where the intermediates are src
 // itself.
-func (c *Code) EncodeRange(src [][]byte, lo, hi int, precode func([][]byte) [][]byte) ([][]byte, error) {
-	if err := code.CheckSrc(src, c.k, c.packetLen); err != nil {
-		return nil, err
+//
+// Validation is proportional to the work: len(src) must be k, and each
+// source or intermediate slice the range actually reads must be packetLen
+// long, so one packet costs O(degree) checks, not O(k). A wrong-length
+// slice the call reads is an error, never a panic; precode validates
+// whatever it reads itself.
+func (c *Code) EncodeRange(src [][]byte, lo, hi int, precode func([][]byte) ([][]byte, error)) ([][]byte, error) {
+	if len(src) != c.k {
+		return nil, fmt.Errorf("rateless: got %d source packets, want %d", len(src), c.k)
 	}
 	if lo < 0 || hi < lo || hi > code.UnboundedN {
 		return nil, fmt.Errorf("rateless: encode range [%d,%d) out of [0,%d)", lo, hi, code.UnboundedN)
@@ -370,14 +376,21 @@ func (c *Code) EncodeRange(src [][]byte, lo, hi int, precode func([][]byte) [][]
 	out := make([][]byte, hi-lo)
 	first := max(lo, c.sys) // first coded index
 	for i := lo; i < min(first, hi); i++ {
+		if len(src[i]) != c.packetLen {
+			return nil, c.lengthErr("source", i, src[i])
+		}
 		out[i-lo] = src[i]
 	}
 	if first >= hi {
 		return out, nil
 	}
-	inter := src
+	inter, what := src, "source"
 	if precode != nil {
-		inter = precode(src)
+		var err error
+		if inter, err = precode(src); err != nil {
+			return nil, err
+		}
+		what = "intermediate"
 	}
 	store := make([]byte, (hi-first)*c.packetLen)
 	var nbuf []int
@@ -385,11 +398,18 @@ func (c *Code) EncodeRange(src [][]byte, lo, hi int, precode func([][]byte) [][]
 		p := store[(i-first)*c.packetLen : (i-first+1)*c.packetLen]
 		nbuf = c.NeighborsInto(uint32(i), nbuf)
 		for _, nb := range nbuf {
+			if len(inter[nb]) != c.packetLen {
+				return nil, c.lengthErr(what, nb, inter[nb])
+			}
 			gf.XORSlice(p, inter[nb])
 		}
 		out[i-lo] = p
 	}
 	return out, nil
+}
+
+func (c *Code) lengthErr(what string, i int, p []byte) error {
+	return fmt.Errorf("rateless: %s packet %d has length %d, want %d", what, i, len(p), c.packetLen)
 }
 
 var _ code.Rateless = (*Code)(nil)

@@ -13,11 +13,11 @@ import (
 // The pacing scheduler replaces the one-goroutine-per-session sender of
 // the earlier service: every paced session is an emission event on a
 // min-heap keyed by its next deadline on a monotonic clock, and a fixed
-// set of shard workers (GOMAXPROCS by default) pops due events, emits one
-// carousel round each through pooled buffers and per-layer batches, and
-// pushes the event back at deadline + interval. Registering 1 or 10,000
-// sessions costs the same goroutine count; per-session cost is one heap
-// entry.
+// set of shard workers (GOMAXPROCS by default) pops due events, emits the
+// rounds the session owes through pooled buffers and per-layer batches,
+// and pushes the event back at its next unpaid deadline. Registering 1 or
+// 10,000 sessions costs the same goroutine count; per-session cost is one
+// heap entry.
 //
 // Emission content and order per (session, layer) are exactly the
 // carousel's — the scheduler only decides *when* a session's next round
@@ -26,7 +26,7 @@ import (
 // schedEvent is one paced session's place in a shard's deadline heap.
 type schedEvent struct {
 	e        *entry
-	next     time.Duration // deadline, relative to the scheduler epoch
+	next     time.Duration // deadline of the next unpaid round, relative to the scheduler epoch
 	interval time.Duration // carousel round spacing (server.PaceInterval)
 	shard    *shard
 	removed  bool // guarded by shard.mu; a removed event is never re-pushed
@@ -68,12 +68,14 @@ func newScheduler(svc *Service, ctx context.Context, shards int) *scheduler {
 	return sc
 }
 
-// add registers a paced entry: its first round fires immediately. The
-// caller holds Service.mu (so add never races Close's closed check).
+// add registers a paced entry: its first round fires within one interval,
+// at startOffset. The caller holds Service.mu (so add never races Close's
+// closed check).
 func (sc *scheduler) add(e *entry, interval time.Duration) {
 	sh := sc.shards[sc.nextSh%len(sc.shards)]
 	sc.nextSh++
-	ev := &schedEvent{e: e, next: time.Since(sc.epoch), interval: interval, shard: sh}
+	first := time.Since(sc.epoch) + startOffset(e.sess.Config().Session, interval)
+	ev := &schedEvent{e: e, next: first, interval: interval, shard: sh}
 	e.ev = ev
 	if sh.tr.On() {
 		sh.tr.Emit(evtrace.EvSlotScheduled, e.sess.Config().Session, sc.svc.cfg.TraceID, 0, 0,
@@ -83,6 +85,19 @@ func (sc *scheduler) add(e *entry, interval time.Duration) {
 	sh.push(ev)
 	sh.mu.Unlock()
 	sh.wake()
+}
+
+// startOffset is where within its first interval a session's deadlines
+// fall: a hash of the session id, so it is deterministic, in [0, interval).
+// Sessions registered together would otherwise share deadlines for their
+// whole life and leave in lockstep bursts that overflow a receiver's
+// socket buffer.
+func startOffset(id uint16, interval time.Duration) time.Duration {
+	h := uint64(id) * 0x9E3779B97F4A7C15
+	h ^= h >> 31
+	h *= 0xBF58476D1CE4E5B9
+	h ^= h >> 29
+	return time.Duration(h % uint64(interval))
 }
 
 // remove takes a paced entry out of its shard's schedule and guarantees,
@@ -174,51 +189,54 @@ func (sh *shard) run(ctx context.Context) {
 	}
 }
 
-// maxRoundsPerPop caps how many catch-up rounds one pop may emit when the
-// session is behind schedule. Batching a few rounds per pop amortizes the
-// heap, clock and lock costs and reuses the session's encoding while it
-// is cache-hot; the cap keeps co-scheduled sessions fair.
-const maxRoundsPerPop = 4
+// Pacing constants, chosen by measurement (DESIGN.md, "The send path").
+const (
+	// popPackets caps the packets one pop emits, so a session deep in debt
+	// cannot hold its shard while co-scheduled sessions wait, and its
+	// catch-up leaves in bounded bursts. A pop always emits at least one
+	// round, however large.
+	popPackets = 32
+	// debtHorizon is how far behind its deadlines a session may fall.
+	// Debt within it is paid in later pops; a session further behind
+	// (a stalled worker, a rate beyond what the shard can emit) forgets
+	// the excess instead of flooding the path once it can run again.
+	debtHorizon = 50 * time.Millisecond
+)
 
-// emitDue emits the event's due round — plus the back-to-back burst round
-// of §7.1.1 when the next round is a burst, plus up to maxRoundsPerPop-1
-// catch-up rounds while the session remains behind schedule — under the
-// entry's emit lock so Remove can wait out in-flight rounds. It advances
-// ev.next past now (dropping any remaining debt, the analogue of a ticker
-// dropping missed ticks).
+// emitDue pays the event's pacing debt under the entry's emit lock, so
+// Remove can wait out in-flight rounds: every round whose deadline has
+// passed, each with the back-to-back burst round of §7.1.1 when the next
+// round is a burst, up to popPackets per pop. Debt older than debtHorizon
+// is dropped first. The pop's packets leave in one flush, so one pop costs
+// one transport call per layer, not one per round.
 func (sh *shard) emitDue(ev *schedEvent, em *emitter) {
 	e := ev.e
 	e.emitMu.Lock()
 	defer e.emitMu.Unlock()
+	now := time.Since(sh.epoch)
 	if sh.tr.On() {
 		// Pacing jitter: the deadline the slot was armed for vs. when the
 		// worker actually popped it.
 		sh.tr.Emit(evtrace.EvSlotFired, e.sess.Config().Session, sh.svc.cfg.TraceID, 0, 0,
-			uint64(ev.next), uint64(time.Since(sh.epoch)))
+			uint64(ev.next), uint64(now))
 	}
-	for rounds := 0; ; {
-		if e.stopped {
-			return
+	if e.stopped {
+		return
+	}
+	if now-ev.next > debtHorizon {
+		sh.svc.debtDropped.Inc()
+		ev.next = now - debtHorizon
+	}
+	for sent := 0; ev.next <= now && sent < popPackets; ev.next += ev.interval {
+		if now-ev.next >= ev.interval {
+			sh.svc.catchupRounds.Inc() // a later deadline has passed too
 		}
-		if rounds > 0 {
-			sh.svc.catchupRounds.Inc()
-		}
-		em.emitRound(e.car)
+		sent += em.emitRound(e.car)
 		if e.car.BurstNext() {
-			em.emitRound(e.car)
-		}
-		rounds++
-		ev.next += ev.interval
-		now := time.Since(sh.epoch)
-		if ev.next > now {
-			return
-		}
-		if rounds >= maxRoundsPerPop {
-			sh.svc.debtDropped.Inc()
-			ev.next = now // drop the rest of the debt
-			return
+			sent += em.emitRound(e.car)
 		}
 	}
+	em.flush()
 }
 
 // push inserts ev into the deadline heap; callers hold sh.mu.
@@ -338,22 +356,25 @@ func (em *emitter) flush() {
 	em.batch = em.batch[:0]
 }
 
-// emitRound emits one full carousel round through the emitter. The
-// carousel can only fail on emit errors, and Emit never fails, so the
-// round always completes; sends themselves are counted (and their errors
-// swallowed) by the counting sender.
+// emitRound emits one full carousel round through the emitter and
+// returns its packet count. Packets of the same layer stay batched across
+// rounds until the caller flushes. The carousel can only fail on emit
+// errors, and Emit never fails, so the round always completes; sends
+// themselves are counted (and their errors swallowed) by the counting
+// sender.
 // The EvRound event fires at the start, before NextRoundTo advances the
 // carousel's round counter: a trace consumer counting EvRound events per
 // source therefore sees exactly Carousel.Rounds() at any downstream event
 // of the same stream — including a receiver's completion mid-round, which
 // is when the harness snapshots its rounds-to-decode.
-func (em *emitter) emitRound(car *core.Carousel) {
+func (em *emitter) emitRound(car *core.Carousel) int {
 	if em.tr.On() {
 		em.sess = car.Session().Config().Session
 		em.tr.Emit(evtrace.EvRound, em.sess, em.svc.cfg.TraceID, 0, 0,
 			uint64(car.Rounds()), uint64(car.Sent()))
 	}
+	sent := car.Sent()
 	_ = car.NextRoundTo(em)
-	em.flush()
 	em.svc.rounds.Inc()
+	return car.Sent() - sent
 }

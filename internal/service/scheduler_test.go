@@ -362,3 +362,137 @@ func TestManySessionsShareShards(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 }
+
+// pacedSession builds a one-layer session (one packet per round) with SP
+// interval 16, so at R rounds/s it sends R·17/16 packets/s.
+func pacedSession(t *testing.T, id uint16) *core.Session {
+	t.Helper()
+	cfg := sessionConfig(proto.CodecTornadoA, id, int64(id))
+	cfg.Layers = 1
+	cfg.SPInterval = 16
+	sess, err := core.NewSession(randBytes(int64(id), 5_000), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sess
+}
+
+// TestPacerHoldsRate: over one second, a session paced at R rounds/s
+// sends within 2% of R·(1 + 1/SPInterval) packets — the burst round
+// before each SP included. Debt from late wakes is paid, not dropped, so
+// the count does not drift below the offered rate.
+func TestPacerHoldsRate(t *testing.T) {
+	sink := &nullBatchSink{}
+	svc := New(sink, Config{Shards: 1})
+	defer svc.Close()
+	const rate = 2000
+	if err := svc.Add(pacedSession(t, 0xA1), rate); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(100 * time.Millisecond)
+	p0, t0 := svc.Stats().PacketsSent, time.Now()
+	time.Sleep(time.Second)
+	p1, t1 := svc.Stats().PacketsSent, time.Now()
+	want := rate * (1 + 1.0/16) * t1.Sub(t0).Seconds()
+	got := float64(p1 - p0)
+	if got < 0.98*want || got > 1.02*want {
+		t.Fatalf("sent %.0f packets in %v, want %.0f ±2%%", got, t1.Sub(t0), want)
+	}
+}
+
+// TestStartOffsetSpread: first deadlines are a deterministic function of
+// the session id, always within one interval, and sessions registered
+// together are spread across it instead of firing in lockstep.
+func TestStartOffsetSpread(t *testing.T) {
+	for _, iv := range []time.Duration{time.Nanosecond, 7, 250 * time.Microsecond, 31250 * time.Microsecond, 10 * time.Second} {
+		bins := make(map[int64]bool)
+		for id := 0; id < 128; id++ {
+			off := startOffset(uint16(id), iv)
+			if off < 0 || off >= iv {
+				t.Fatalf("interval %v: id %d offset %v outside [0, interval)", iv, id, off)
+			}
+			if off != startOffset(uint16(id), iv) {
+				t.Fatalf("interval %v: id %d offset not deterministic", iv, id)
+			}
+			bins[int64(off)*128/int64(iv)] = true
+		}
+		if iv >= 128 && len(bins) < 64 {
+			t.Fatalf("interval %v: 128 consecutive ids fill only %d of 128 bins", iv, len(bins))
+		}
+	}
+
+	// The scheduler arms a new session's first deadline at that offset
+	// from its registration.
+	svc := New(&nullBatchSink{}, Config{Shards: 1})
+	defer svc.Close()
+	const rate = 1 // one round per second: the first deadline is still pending below
+	sess := pacedSession(t, 0xA2)
+	before := time.Since(svc.sched.epoch)
+	if err := svc.Add(sess, rate); err != nil {
+		t.Fatal(err)
+	}
+	after := time.Since(svc.sched.epoch)
+	svc.mu.Lock()
+	e := svc.sessions[0xA2]
+	svc.mu.Unlock()
+	e.emitMu.Lock()
+	first := e.ev.next - startOffset(0xA2, e.ev.interval)
+	e.emitMu.Unlock()
+	if first < before || first > after {
+		t.Fatalf("first deadline minus offset %v outside registration window [%v, %v]", first, before, after)
+	}
+}
+
+// TestPacerDebtWithinHorizon: a rate no shard can emit keeps its session
+// behind schedule by at most the debt horizon (plus the pop in flight),
+// and the excess shows as horizon drops and late rounds.
+func TestPacerDebtWithinHorizon(t *testing.T) {
+	sink := &nullBatchSink{}
+	svc := New(sink, Config{Shards: 1})
+	defer svc.Close()
+	if err := svc.Add(pacedSession(t, 0xA3), 50_000_000); err != nil {
+		t.Fatal(err)
+	}
+	svc.mu.Lock()
+	e := svc.sessions[0xA3]
+	svc.mu.Unlock()
+	var worst time.Duration
+	for end := time.Now().Add(300 * time.Millisecond); time.Now().Before(end); time.Sleep(time.Millisecond) {
+		e.emitMu.Lock()
+		lag := time.Since(svc.sched.epoch) - e.ev.next
+		e.emitMu.Unlock()
+		worst = max(worst, lag)
+	}
+	if worst > 2*debtHorizon {
+		t.Fatalf("session fell %v behind, horizon %v", worst, debtHorizon)
+	}
+	st := svc.Stats()
+	if st.PacketsSent == 0 || st.DebtDropped == 0 || st.CatchupRounds == 0 {
+		t.Fatalf("saturated session: sent %d, horizon drops %d, late rounds %d; want all > 0",
+			st.PacketsSent, st.DebtDropped, st.CatchupRounds)
+	}
+}
+
+// TestPacerNothingAfterRemove: a session deep in pacing debt, whose pops
+// send many rounds in one flush, emits nothing once Remove returns — the
+// pop's batch leaves before the emit lock is released.
+func TestPacerNothingAfterRemove(t *testing.T) {
+	capt := newBatchCapture()
+	svc := New(capt, Config{Shards: 2})
+	defer svc.Close()
+	for i := 0; i < 20; i++ {
+		id := uint16(0xB00 + i)
+		if err := svc.Add(pacedSession(t, id), 50_000_000); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(time.Duration(i%4) * time.Millisecond)
+		if err := svc.Remove(id); err != nil {
+			t.Fatal(err)
+		}
+		n := capt.minLen(id, 1)
+		time.Sleep(5 * time.Millisecond)
+		if got := capt.minLen(id, 1); got != n {
+			t.Fatalf("session %#x emitted %d packets after Remove returned", id, got-n)
+		}
+	}
+}

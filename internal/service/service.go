@@ -2,7 +2,7 @@
 // concurrent sessions keyed by the 12-byte-header session id, one shared
 // pacing scheduler (a deadline min-heap per shard worker, GOMAXPROCS
 // shards) driving every session's core.Carousel, a shared bounded cache
-// for lazily encoded repair blocks, and the control handler that answers
+// for lazily encoded repair packets, and the control handler that answers
 // hello and catalog probes.
 //
 // This is the shape the paper argues for in §1/§7 — a fountain server is
@@ -52,7 +52,7 @@ type Config struct {
 	Shards int
 	// MaxSessions caps the registry (0 = unlimited): registrations beyond
 	// the cap are refused with ErrSessionLimit. A fountain server's
-	// per-session cost is small but not zero (a heap entry, cached blocks),
+	// per-session cost is small but not zero (a heap entry, cached packets),
 	// so an operator can bound it.
 	MaxSessions int
 	// Trace attaches a flight recorder to the send path: scheduler slot
@@ -86,11 +86,13 @@ type Stats struct {
 	// batch — batch transports isolate errors per subscriber, so the rest
 	// of the fan-out was still attempted) on the batch path.
 	SendErrors uint64
-	// Scheduler health: total carousel rounds emitted, rounds emitted as
-	// catch-up (the session was behind its pacing deadline), and times a
-	// shard dropped remaining pacing debt after hitting the per-pop
-	// catch-up cap. Rising catch-up/debt counts mean the configured rates
-	// exceed what the shards can emit.
+	// Scheduler health: total carousel rounds emitted; rounds sent late
+	// (when the round went out, the deadline of the round after it had
+	// passed too — the shard woke behind schedule and paid debt); and
+	// horizon drops (times a session fell more than the pacer's debt
+	// horizon behind and forgot the excess). Late rounds are normal in
+	// small numbers at rates near the timer resolution; horizon drops mean
+	// the configured rates exceed what the shards can emit.
 	RoundsEmitted  uint64
 	CatchupRounds  uint64
 	DebtDropped    uint64
@@ -206,9 +208,9 @@ func (s *Service) registerMetrics(r *metrics.Registry) {
 	r.AddCounter("fountain_sched_rounds_total",
 		"carousel rounds emitted", &s.rounds)
 	r.AddCounter("fountain_sched_catchup_rounds_total",
-		"rounds emitted while behind the pacing deadline", &s.catchupRounds)
+		"rounds sent after the next round's deadline had also passed", &s.catchupRounds)
 	r.AddCounter("fountain_sched_debt_dropped_total",
-		"times a shard dropped pacing debt at the per-pop catch-up cap", &s.debtDropped)
+		"times a session fell beyond the pacing debt horizon and dropped the excess", &s.debtDropped)
 	r.GaugeFunc("fountain_sessions", "registered sessions", func() float64 {
 		s.mu.Lock()
 		n := len(s.sessions)
@@ -240,13 +242,13 @@ func (s *Service) registerMetrics(r *metrics.Registry) {
 		func() float64 { return float64(s.cache.Peak()) })
 	r.GaugeFunc("fountain_cache_cap_bytes", "configured cache byte budget",
 		func() float64 { return float64(s.cache.Cap()) })
-	r.CounterFunc("fountain_cache_lookups_total", "combined block-cache probes",
+	r.CounterFunc("fountain_cache_lookups_total", "block-cache probes",
 		func() uint64 { return s.cache.StatsSnapshot().Lookups })
 	r.CounterFunc("fountain_cache_hits_total", "block-cache hits",
 		func() uint64 { return s.cache.StatsSnapshot().Hits })
 	r.CounterFunc("fountain_cache_misses_total", "block-cache misses",
 		func() uint64 { return s.cache.StatsSnapshot().Misses })
-	r.CounterFunc("fountain_cache_evictions_total", "blocks evicted to hold the byte budget",
+	r.CounterFunc("fountain_cache_evictions_total", "packets evicted to hold the byte budget",
 		func() uint64 { return s.cache.StatsSnapshot().Evictions })
 	r.CounterFunc("fountain_cache_evicted_bytes_total", "charged bytes reclaimed by evictions",
 		func() uint64 { return s.cache.StatsSnapshot().EvictedBytes })
@@ -356,6 +358,7 @@ func (s *Service) EmitRound(car *core.Carousel) error {
 	s.manualMu.Lock()
 	defer s.manualMu.Unlock()
 	s.manualEm.emitRound(car)
+	s.manualEm.flush()
 	return nil
 }
 
@@ -401,7 +404,7 @@ func (c countingSender) SendBatch(layer int, pkts [][]byte) error {
 }
 
 // Remove stops a session's paced emission — waiting out any in-flight
-// round — and drops the session's blocks from the shared cache.
+// round — and drops the session's packets from the shared cache.
 func (s *Service) Remove(id uint16) error {
 	s.mu.Lock()
 	e, ok := s.sessions[id]
@@ -418,7 +421,7 @@ func (s *Service) Remove(id uint16) error {
 }
 
 // release frees what the service holds for a session it no longer
-// carries: its cached blocks and the codec's cached encoder state. Adding
+// carries: its cached packets and the codec's cached encoder state. Adding
 // the session again re-derives both, bit-identically.
 func (s *Service) release(e *entry) {
 	s.cache.Drop(e.sess)

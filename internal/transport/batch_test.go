@@ -338,3 +338,41 @@ func TestBufPool(t *testing.T) {
 		t.Fatalf("pooled Get/Put allocates %.2f times per cycle", allocs)
 	}
 }
+
+// TestUDPSendBatchZeroAlloc: a steady-state batched send to a loopback
+// subscriber allocates nothing, whether it takes the one-datagram write
+// (1 packet) or sendmmsg (4 and 64 packets): the kernel-facing scratch is
+// the server's, not the call's.
+func TestUDPSendBatchZeroAlloc(t *testing.T) {
+	s, err := NewUDPServer("127.0.0.1:0", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	c, err := NewUDPClientSession(s.Addr(), 0xDF98, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for s.SessionSubscribers(0xDF98, 0) == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("subscription never registered")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	for _, n := range []int{1, 4, 64} {
+		batch := make([][]byte, n)
+		for i := range batch {
+			batch[i] = testPacket(0xDF98, 0, uint32(i+1), make([]byte, 512))
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			if err := s.SendBatch(0, batch); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("SendBatch of %d packets allocates %.2f times per call", n, allocs)
+		}
+	}
+}

@@ -15,7 +15,7 @@ import (
 // round costs a subscriber 2 syscalls instead of 128.
 
 // mmsgChunk is the most datagrams one sendmmsg call carries. 64 keeps the
-// on-stack header/iovec arrays a few KiB while amortizing the syscall ~60x.
+// server's header/iovec scratch a few KiB while amortizing the syscall ~60x.
 const mmsgChunk = 64
 
 // sysSendmmsg is the linux/amd64 sendmmsg(2) syscall number (the syscall
@@ -30,22 +30,73 @@ type mmsghdr struct {
 	nsent uint32
 }
 
+// sendState is the reusable sendmmsg machinery of one server: the
+// destination address, the iovec and mmsghdr arrays handed to the kernel,
+// and the RawConn callback. Declared per call, all of it would escape to
+// the heap (the kernel holds pointers into it and the callback is an
+// interface argument), costing several allocations per batch; built once
+// per server and guarded by sendMu, a batched write allocates nothing. The
+// receive side's recvState is the same shape.
+type sendState struct {
+	sa    syscall.RawSockaddrInet4
+	iovs  [mmsgChunk]syscall.Iovec
+	msgs  [mmsgChunk]mmsghdr
+	n     int
+	sent  int
+	opErr error
+	fn    func(fd uintptr) bool
+}
+
+func newSendState() *sendState {
+	st := &sendState{}
+	st.fn = func(fd uintptr) bool {
+		for st.sent < st.n {
+			r1, _, errno := syscall.Syscall6(sysSendmmsg, fd,
+				uintptr(unsafe.Pointer(&st.msgs[st.sent])), uintptr(st.n-st.sent), 0, 0, 0)
+			if errno == syscall.EAGAIN {
+				return false // socket buffer full: wait for writability
+			}
+			if errno == syscall.EINTR {
+				continue
+			}
+			if errno != 0 {
+				st.opErr = errno
+				return true
+			}
+			if r1 == 0 {
+				// Defensive: a zero-progress success would loop forever.
+				st.opErr = syscall.EIO
+				return true
+			}
+			// nsent is per-message byte counts written by the kernel; a
+			// UDP datagram sends whole or not at all, so only the message
+			// count r1 advances the cursor.
+			st.sent += int(r1)
+		}
+		return true
+	}
+	return st
+}
+
 // writeBatchTo coalesces the batch into sendmmsg calls when the socket and
 // destination are plain IPv4 (the substrate's common case); other
 // combinations take the portable per-datagram loop. Packet buffers are
-// handed to the kernel in place — no copies on the fan-out path.
+// handed to the kernel in place — no copies on the fan-out path. Callers
+// hold s.sendMu, which guards the server's sendState.
 func (s *UDPServer) writeBatchTo(pkts [][]byte, to netip.AddrPort) error {
 	rc := s.rawConn
 	if rc == nil || s.batchPortable || !s.v4Socket || !to.Addr().Is4() || len(pkts) == 1 {
 		return s.writePortable(pkts, to)
 	}
-	var sa syscall.RawSockaddrInet4
-	sa.Family = syscall.AF_INET
+	st := s.smmsg
+	if st == nil {
+		st = newSendState()
+		s.smmsg = st
+	}
+	st.sa.Family = syscall.AF_INET
 	port := to.Port()
-	sa.Port = port<<8 | port>>8 // network byte order
-	sa.Addr = to.Addr().As4()
-	var iovs [mmsgChunk]syscall.Iovec
-	var msgs [mmsgChunk]mmsghdr
+	st.sa.Port = port<<8 | port>>8 // network byte order
+	st.sa.Addr = to.Addr().As4()
 	for lo := 0; lo < len(pkts); lo += mmsgChunk {
 		n := min(mmsgChunk, len(pkts)-lo)
 		for i := 0; i < n; i++ {
@@ -54,48 +105,21 @@ func (s *UDPServer) writeBatchTo(pkts [][]byte, to netip.AddrPort) error {
 			if len(pkt) > 0 {
 				base = &pkt[0] // nil base + zero len = valid empty datagram
 			}
-			iovs[i] = syscall.Iovec{Base: base, Len: uint64(len(pkt))}
-			msgs[i] = mmsghdr{hdr: syscall.Msghdr{
-				Name:    (*byte)(unsafe.Pointer(&sa)),
-				Namelen: uint32(unsafe.Sizeof(sa)),
-				Iov:     &iovs[i],
+			st.iovs[i] = syscall.Iovec{Base: base, Len: uint64(len(pkt))}
+			st.msgs[i] = mmsghdr{hdr: syscall.Msghdr{
+				Name:    (*byte)(unsafe.Pointer(&st.sa)),
+				Namelen: uint32(unsafe.Sizeof(st.sa)),
+				Iov:     &st.iovs[i],
 				Iovlen:  1,
 			}}
 		}
-		sent := 0
-		var opErr error
-		werr := rc.Write(func(fd uintptr) bool {
-			for sent < n {
-				r1, _, errno := syscall.Syscall6(sysSendmmsg, fd,
-					uintptr(unsafe.Pointer(&msgs[sent])), uintptr(n-sent), 0, 0, 0)
-				if errno == syscall.EAGAIN {
-					return false // socket buffer full: wait for writability
-				}
-				if errno == syscall.EINTR {
-					continue
-				}
-				if errno != 0 {
-					opErr = errno
-					return true
-				}
-				if r1 == 0 {
-					// Defensive: a zero-progress success would loop forever.
-					opErr = syscall.EIO
-					return true
-				}
-				// nsent is per-message byte counts written by the kernel; a
-				// UDP datagram sends whole or not at all, so only the
-				// message count r1 advances the cursor.
-				_ = msgs[sent].nsent
-				sent += int(r1)
-			}
-			return true
-		})
+		st.n, st.sent, st.opErr = n, 0, nil
+		werr := rc.Write(st.fn)
 		if werr != nil {
 			return werr
 		}
-		if opErr != nil {
-			return opErr
+		if st.opErr != nil {
+			return st.opErr
 		}
 	}
 	return nil
